@@ -133,8 +133,7 @@ std::uint64_t run_worker(const WorkerConfig& cfg) {
       plan.shard = 0;
       plan.group_begin = static_cast<std::size_t>(g);
       plan.group_end = static_cast<std::size_t>(g) + 1;
-      const sim::ExperimentResult result = engine.run(spec, plan);
-      const sim::ShardPartial partial = sim::make_partial(spec, plan, result);
+      const sim::ShardPartial partial = sim::make_partial(spec, plan, engine.run(spec, plan));
       SC_REQUIRE(partial.groups.size() == 1 && partial.groups[0].group == g,
                  "single-group plan must yield exactly its global group");
       CompleteRequest complete;

@@ -3,8 +3,8 @@
 // Every empirical claim in the paper is a statistic over many executions --
 // seeds x fault placements x adversaries. The engine is the one place that
 // owns that loop: an ExperimentSpec describes the grid, Engine::run fans the
-// cells out over a work-stealing thread pool, and the per-cell RunResults are
-// folded into AggregateResults in a fixed cell order, so the aggregate is
+// cells out over a thread pool, and each group's RunResults are folded into
+// an AggregateResult once, in a fixed cell order, so the aggregates are
 // bit-identical for any thread count.
 //
 // Layering: run_execution (runner.hpp) stays the single-run kernel; the
@@ -229,7 +229,13 @@ struct ExperimentResult {
   // cells (coordinates and seeds stay global, so a cell computes identically
   // whichever shard runs it).
   std::vector<CellOutcome> cells;
-  AggregateResult total;  // fold of `cells` in cell order (a shard partial)
+
+  // One aggregate per (adversary, placement) group of the shard, in group
+  // order: the fold of that group's cells in cell order, computed once by
+  // the thread that finished the group -- the same value on_group delivered
+  // and what make_partial puts on the wire.
+  std::vector<AggregateResult> groups;
+  AggregateResult total;  // left-merge of `groups` in group order (a shard partial)
   double wall_seconds = 0.0;
   std::uint64_t batched_cells = 0;  // cells that ran on the batched backend
   util::StatsMode stats = util::StatsMode::kExact;  // spec.stats of the run
@@ -250,9 +256,12 @@ std::uint64_t cell_seed(std::uint64_t base_seed, std::size_t cell_index) noexcep
 
 // Observer over a run's results (defined in sim/sink.hpp). Sinks receive
 // cells in global cell order and groups in group order, whatever the thread
-// count or backend mix -- groups are delivered as soon as every preceding
-// group has finished, so streaming sinks (checkpoints, traces) see a
-// deterministic, resumable prefix at every instant.
+// count or backend mix. Groups stream while compute continues: the pool
+// claims tasks in ascending order, and one combining deliverer (whichever
+// pool thread finishes a group while nobody is delivering) hands each group
+// over as soon as it and every preceding group has finished, so streaming
+// sinks (checkpoints, traces) see a deterministic, resumable prefix at
+// every instant. A sink that throws stops delivery; Engine::run rethrows.
 class Sink;
 using SinkList = std::vector<Sink*>;
 

@@ -470,22 +470,29 @@ AggregateResult ShardPartial::total() const {
 }
 
 ShardPartial make_partial(const ExperimentSpec& spec, const ShardPlan& plan,
-                          const ExperimentResult& result) {
+                          ExperimentResult&& result) {
   ShardPartial partial;
   partial.plan = plan;
   partial.spec = experiment_spec_to_json(spec);
   derive_grid(partial);
   SC_CHECK(plan.group_end <= grid_groups(partial), "shard plan does not fit the grid");
-  const std::size_t n_pl = partial.placement_names.size();
-  for (std::size_t g = plan.group_begin; g < plan.group_end; ++g) {
+  SC_CHECK(result.groups.size() == plan.groups(), "result does not cover the shard's groups");
+  for (std::size_t lg = 0; lg < plan.groups(); ++lg) {
     ShardPartial::Group group;
-    group.group = g;
-    group.aggregate = result.aggregate(g / n_pl, g % n_pl);
+    group.group = plan.group_begin + lg;
+    group.aggregate = std::move(result.groups[lg]);
     SC_CHECK(group.aggregate.runs == static_cast<std::uint64_t>(partial.seeds),
              "result does not cover the shard's cells");
     partial.groups.push_back(std::move(group));
   }
   return partial;
+}
+
+ShardPartial make_partial(const ExperimentSpec& spec, const ShardPlan& plan,
+                          const ExperimentResult& result) {
+  ExperimentResult groups_only;
+  groups_only.groups = result.groups;
+  return make_partial(spec, plan, std::move(groups_only));
 }
 
 void write_partial_header(std::ostream& out, const ShardPlan& plan, const util::Json& spec) {

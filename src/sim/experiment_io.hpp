@@ -154,9 +154,14 @@ struct ShardPartial {
   AggregateResult total() const;
 };
 
-// Packages one worker's result (Engine::run(spec, plan)) for the wire.
+// Packages one worker's result (Engine::run(spec, plan)) for the wire: its
+// per-group aggregates (ExperimentResult::groups), which must cover the
+// plan. The rvalue overload moves them out instead of copying, so a worker
+// holds no second copy of its group aggregates.
 ShardPartial make_partial(const ExperimentSpec& spec, const ShardPlan& plan,
                           const ExperimentResult& result);
+ShardPartial make_partial(const ExperimentSpec& spec, const ShardPlan& plan,
+                          ExperimentResult&& result);
 
 void write_partial(std::ostream& out, const ShardPartial& partial);
 

@@ -13,7 +13,9 @@
 // Cell-groups are delivered as soon as every preceding group has finished,
 // not at the end of the run, so a streaming sink's file is a valid prefix of
 // the final output at every instant -- which is what makes checkpoints
-// resumable and trace files bit-identical across thread counts.
+// resumable and trace files bit-identical across thread counts. Calls come
+// from one thread at a time (not necessarily the same one), so sinks need
+// not be thread-safe; after a sink throws, nothing more is delivered.
 //
 // Built-in sinks:
 //   MemorySink      in-memory cells + per-group + total aggregates (the

@@ -109,17 +109,20 @@ void ThreadPool::parallel_for(std::size_t count, const std::function<void(std::s
     for (std::size_t i = 0; i < count; ++i) fn(i);
     return;
   }
-  // One task per index: cells vary wildly in cost (different horizons and
-  // adversaries), so fine-grained tasks plus stealing beat static chunking.
-  std::atomic<std::size_t> done{0};
-  for (std::size_t i = 0; i < count; ++i) {
-    submit([&fn, &done, i] {
-      fn(i);
-      done.fetch_add(1, std::memory_order_relaxed);
+  // Runners claim indices from one shared cursor: uneven tasks still
+  // balance, and the earliest indices finish first, so in-order consumers
+  // (the engine's sink delivery) can stream while later ones still run.
+  std::atomic<std::size_t> cursor{0};
+  const std::size_t runners = std::min(count, static_cast<std::size_t>(size()));
+  for (std::size_t r = 0; r < runners; ++r) {
+    submit([&fn, &cursor, count] {
+      for (std::size_t i = cursor.fetch_add(1, std::memory_order_relaxed); i < count;
+           i = cursor.fetch_add(1, std::memory_order_relaxed)) {
+        fn(i);
+      }
     });
   }
   wait_idle();
-  SC_REQUIRE(done.load() == count, "parallel_for lost tasks");
 }
 
 }  // namespace synccount::util

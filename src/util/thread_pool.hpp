@@ -43,8 +43,10 @@ class ThreadPool {
   void wait_idle();
 
   // Run fn(0), ..., fn(count - 1) across the pool and wait for completion.
-  // Scheduling order is unspecified; callers must make iterations
-  // independent and write results into per-index slots.
+  // Indices are claimed in ascending order (min(count, size()) runners pull
+  // from one shared cursor); completion order is unspecified, so callers
+  // must make iterations independent and write results into per-index
+  // slots. Must not be called from a worker thread.
   void parallel_for(std::size_t count, const std::function<void(std::size_t)>& fn);
 
  private:

@@ -6,7 +6,9 @@
 
 #include <cmath>
 #include <atomic>
+#include <cstddef>
 #include <set>
+#include <stdexcept>
 
 #include "boosting/planner.hpp"
 #include "counting/randomized.hpp"
@@ -40,6 +42,24 @@ TEST(ThreadPool, ReusableAcrossBatches) {
     pool.parallel_for(20, [&](std::size_t) { count.fetch_add(1); });
   }
   EXPECT_EQ(count.load(), 100);
+}
+
+// parallel_for claims indices in ascending order from one shared cursor, so
+// by the time fn(i) starts, every smaller index has been claimed and all but
+// the at most size() - 1 claimed by the other runners have started too. (The
+// other side, ticket(i) - i, is not bounded: a runner preempted between
+// claiming i and entering fn(i) lets the others run ahead.)
+TEST(ThreadPool, ParallelForClaimsIndicesInAscendingOrder) {
+  util::ThreadPool pool(4);
+  constexpr std::size_t kCount = 1000;
+  std::atomic<std::size_t> next_ticket{0};
+  std::vector<std::size_t> ticket(kCount);
+  pool.parallel_for(kCount, [&](std::size_t i) { ticket[i] = next_ticket.fetch_add(1); });
+  const auto lag = static_cast<std::ptrdiff_t>(pool.size());
+  for (std::size_t i = 0; i < kCount; ++i) {
+    EXPECT_LT(static_cast<std::ptrdiff_t>(i) - static_cast<std::ptrdiff_t>(ticket[i]), lag)
+        << "index " << i << " started as number " << ticket[i];
+  }
 }
 
 TEST(ThreadPool, SubmitAndWaitIdle) {
@@ -291,6 +311,43 @@ TEST(Engine, SketchModeIsThreadCountInvariant) {
                 sim::aggregate_to_json(b.aggregate(adv, pl)).dump());
     }
   }
+}
+
+// ExperimentResult::groups is each group's fold in cell order: the same
+// bytes as re-folding the group's cells, for both stats modes, any thread
+// count, and a shard's slice of the grid.
+TEST(Engine, GroupsEqualPerGroupRefold) {
+  for (const util::StatsMode mode : {util::StatsMode::kExact, util::StatsMode::kSketch}) {
+    sim::ExperimentSpec spec = small_grid_spec();
+    spec.stats = mode;
+    const std::size_t n_pl = spec.placements.size();
+    for (const int threads : {1, 4}) {
+      for (const sim::ShardPlan& plan :
+           {sim::plan_shards(spec, 1, 0), sim::plan_shards(spec, 3, 1)}) {
+        const auto result = sim::Engine(threads).run(spec, plan);
+        ASSERT_EQ(result.groups.size(), plan.groups());
+        for (std::size_t lg = 0; lg < plan.groups(); ++lg) {
+          const std::size_t g = plan.group_begin + lg;
+          EXPECT_EQ(sim::aggregate_to_json(result.groups[lg]).dump(),
+                    sim::aggregate_to_json(result.aggregate(g / n_pl, g % n_pl)).dump())
+              << "threads " << threads << " group " << g;
+        }
+      }
+    }
+  }
+}
+
+TEST(Engine, MakePartialRequiresGroupsCoveringThePlan) {
+  const auto spec = small_grid_spec();
+  const auto plan = sim::plan_shards(spec, 3, 1);
+  const auto result = sim::Engine(2).run(spec, plan);
+  EXPECT_EQ(sim::make_partial(spec, plan, result).groups.size(), plan.groups());
+  // A result for another slice of the grid, or with its groups gone.
+  EXPECT_THROW(sim::make_partial(spec, sim::plan_shards(spec, 1, 0), result),
+               std::invalid_argument);
+  auto stripped = result;
+  stripped.groups.clear();
+  EXPECT_THROW(sim::make_partial(spec, plan, stripped), std::invalid_argument);
 }
 
 TEST(Engine, DefaultPlacementIsFaultFree) {

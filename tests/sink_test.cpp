@@ -11,6 +11,7 @@
 #include <filesystem>
 #include <fstream>
 #include <sstream>
+#include <stdexcept>
 
 #include "boosting/planner.hpp"
 #include "counting/table_algorithm.hpp"
@@ -108,6 +109,38 @@ TEST(Sink, DeliveryOrderIsDeterministicAcrossThreadCounts) {
   expected.push_back("done");
   EXPECT_EQ(serial_seq.events, expected);
   EXPECT_EQ(parallel_seq.events, expected);
+}
+
+// Throws from on_group of one global group.
+class ThrowingSink final : public sim::Sink {
+ public:
+  explicit ThrowingSink(std::size_t group) : group_(group) {}
+  void on_group(std::size_t group, const sim::AggregateResult&) override {
+    if (group == group_) throw std::runtime_error("sink failed on group " + std::to_string(group));
+  }
+
+ private:
+  std::size_t group_;
+};
+
+// A sink failure stops delivery: the other sinks see each cell and group at
+// most once, in order, up to the failing call -- never a replay of the
+// failed group -- and Engine::run rethrows the sink's exception.
+TEST(Sink, ThrowingSinkStopsDeliveryWithoutReplay) {
+  const auto spec = mixed_backend_spec();
+  SequenceSink seq;
+  ThrowingSink thrower(1);
+  const sim::Engine engine(4);
+  EXPECT_THROW(engine.run(spec, {&seq, &thrower}), std::runtime_error);
+
+  std::vector<std::string> expected = {"start"};
+  for (std::size_t g = 0; g <= 1; ++g) {
+    for (int s = 0; s < spec.seeds; ++s) {
+      expected.push_back("cell:" + std::to_string(g * spec.seeds + s));
+    }
+    expected.push_back("group:" + std::to_string(g) + ":" + std::to_string(spec.seeds));
+  }
+  EXPECT_EQ(seq.events, expected);
 }
 
 TEST(Sink, MemorySinkMatchesReturnedResult) {
