@@ -159,6 +159,27 @@ BackendCase table1_case(const std::string& adversary, std::size_t n_seeds,
   return c;
 }
 
+// A 5-state n = 4, f = 1 table (arbitrary but fixed behaviour): the batched
+// backend runs it on the SoA kernel, Table 1 on the bit-sliced one.
+BackendCase wide_table_case(const std::string& adversary, std::size_t n_seeds,
+                            std::uint64_t rounds) {
+  counting::TransitionTable t;
+  t.n = 4;
+  t.f = 1;
+  t.num_states = 5;
+  t.modulus = 3;
+  t.symmetry = counting::Symmetry::kUniform;
+  t.g.resize(625);
+  for (std::size_t i = 0; i < t.g.size(); ++i) {
+    t.g[i] = static_cast<std::uint8_t>((i * 7 + i / 25 + 3) % 5);
+  }
+  t.h = {0, 1, 2, 1, 0};
+  t.label = "5states-bench";
+  BackendCase c = table1_case(adversary, n_seeds, rounds);
+  c.algo = std::make_shared<counting::TableAlgorithm>(std::move(t));
+  return c;
+}
+
 // The composed-backend acceptance instance: the practical f = 2 boosted
 // counter (two levels over the trivial base, N = 12).
 BackendCase boosted_case(const std::string& adversary, std::size_t n_seeds,
@@ -208,7 +229,7 @@ void run_scalar_case(const BackendCase& c) {
   }
 }
 
-void run_batch_case(const BackendCase& c, sim::BatchKernel kernel) {
+void run_batch_case(const BackendCase& c) {
   sim::BatchConfig bc;
   bc.algo = c.algo;
   bc.faulty = c.faulty;
@@ -216,7 +237,6 @@ void run_batch_case(const BackendCase& c, sim::BatchKernel kernel) {
   bc.margin = 1;
   bc.adversary = [&c] { return sim::make_adversary(c.adversary); };
   bc.seeds = c.seeds;
-  bc.kernel = kernel;
   benchmark::DoNotOptimize(sim::run_batch(bc));
 }
 
@@ -229,21 +249,24 @@ void BM_TableBackendScalar(benchmark::State& state) {
 }
 BENCHMARK(BM_TableBackendScalar)->Unit(benchmark::kMillisecond);
 
-void BM_TableBackendSoA(benchmark::State& state) {
+// Table 1 (3 states) runs on the bit-sliced kernel.
+void BM_TableBackendBatched(benchmark::State& state) {
   const auto c = table1_case("silent", 64, 256);
-  for (auto _ : state) run_batch_case(c, sim::BatchKernel::kSoA);
+  for (auto _ : state) run_batch_case(c);
   state.SetItemsProcessed(
       static_cast<std::int64_t>(state.iterations() * node_rounds(c)));
 }
-BENCHMARK(BM_TableBackendSoA)->Unit(benchmark::kMillisecond);
+BENCHMARK(BM_TableBackendBatched)->Unit(benchmark::kMillisecond);
 
-void BM_TableBackendBitSliced(benchmark::State& state) {
-  const auto c = table1_case("silent", 64, 256);
-  for (auto _ : state) run_batch_case(c, sim::BatchKernel::kBitSliced);
+// A 5-state table runs on the SoA kernel.
+void BM_WideTableBackendBatched(benchmark::State& state) {
+  const auto c = wide_table_case("silent", 64, 256);
+  for (auto _ : state) run_batch_case(c);
   state.SetItemsProcessed(
       static_cast<std::int64_t>(state.iterations() * node_rounds(c)));
+  state.SetLabel("items = node-rounds, 5-state n=4 f=1 table");
 }
-BENCHMARK(BM_TableBackendBitSliced)->Unit(benchmark::kMillisecond);
+BENCHMARK(BM_WideTableBackendBatched)->Unit(benchmark::kMillisecond);
 
 void BM_ComposedBackendScalar(benchmark::State& state) {
   const auto c = boosted_case("silent", 64, 64);
@@ -256,7 +279,7 @@ BENCHMARK(BM_ComposedBackendScalar)->Unit(benchmark::kMillisecond);
 
 void BM_ComposedBackendBatched(benchmark::State& state) {
   const auto c = boosted_case("silent", 64, 64);
-  for (auto _ : state) run_batch_case(c, sim::BatchKernel::kAuto);
+  for (auto _ : state) run_batch_case(c);
   state.SetItemsProcessed(
       static_cast<std::int64_t>(state.iterations() * node_rounds(c)));
 }
@@ -388,7 +411,7 @@ int run_json_smoke(const std::string& exe, const std::string& path) {
       const double nr = node_rounds(c);
       const double scalar_s = seconds_of([&c] { run_scalar_case(c); }, 3);
       const double batch_s =
-          seconds_of([&c] { run_batch_case(c, sim::BatchKernel::kAuto); }, 3);
+          seconds_of([&c] { run_batch_case(c); }, 3);
       const double scalar_ns = 1e9 * scalar_s / nr;
       const double batch_ns = 1e9 * batch_s / nr;
       out << (first ? "" : ",") << "\n      {\"adversary\": \"" << adversary

@@ -113,31 +113,6 @@ void RandomAdversary::forge_block(std::uint64_t, std::span<const State> true_sta
   }
 }
 
-bool SplitAdversary::forge_block_idx(std::uint64_t /*round*/, std::span<const State> true_states,
-                                     const CountingAlgorithm& algo,
-                                     std::span<const NodeId> faulty_ids,
-                                     std::span<const NodeId> /*correct_ids*/, util::Rng& rng,
-                                     ForgedRound& out) {
-  if (!idx_guard(ig_, algo)) return false;
-  // Same two draws as begin_round (even, then odd), minus the State traffic.
-  const std::uint8_t even = raw_random_idx(ig_, rng);
-  const std::uint8_t odd = raw_random_idx(ig_, rng);
-  const std::size_t nf = faulty_ids.size();
-  out.num_profiles = 2;
-  out.idx.resize(2 * nf);
-  for (std::size_t k = 0; k < nf; ++k) {
-    out.idx[k] = even;
-    out.idx[nf + k] = odd;
-  }
-  if (out.profile_of.size() != true_states.size()) {
-    out.profile_of.resize(true_states.size());
-    for (std::size_t r = 0; r < out.profile_of.size(); ++r) {
-      out.profile_of[r] = static_cast<std::uint16_t>(r & 1);
-    }
-  }
-  return true;
-}
-
 bool SplitAdversary::forge_lanes_idx(std::uint64_t /*round*/, const CountingAlgorithm& algo,
                                      std::span<const NodeId> faulty_ids,
                                      std::span<const NodeId> correct_ids,
@@ -174,25 +149,6 @@ bool SplitAdversary::forge_lanes_idx(std::uint64_t /*round*/, const CountingAlgo
         out_idx[k * L + l] = static_cast<std::uint8_t>(even);
         out_idx[(nf + k) * L + l] = static_cast<std::uint8_t>(odd);
       }
-    }
-  }
-  return true;
-}
-
-bool RandomAdversary::forge_block_idx(std::uint64_t /*round*/, std::span<const State> true_states,
-                                      const CountingAlgorithm& algo,
-                                      std::span<const NodeId> faulty_ids,
-                                      std::span<const NodeId> correct_ids, util::Rng& rng,
-                                      ForgedRound& out) {
-  if (!idx_guard(ig_, algo)) return false;
-  const std::size_t nf = faulty_ids.size();
-  out.num_profiles = static_cast<int>(correct_ids.size());
-  out.idx.resize(correct_ids.size() * nf);
-  out.profile_of.assign(true_states.size(), 0);
-  for (std::size_t j = 0; j < correct_ids.size(); ++j) {
-    out.profile_of[static_cast<std::size_t>(correct_ids[j])] = static_cast<std::uint16_t>(j);
-    for (std::size_t k = 0; k < nf; ++k) {
-      out.idx[j * nf + k] = raw_random_idx(ig_, rng);
     }
   }
   return true;

@@ -64,10 +64,6 @@ class RandomAdversary final : public Adversary {
                    const CountingAlgorithm& algo, std::span<const NodeId> faulty_ids,
                    std::span<const NodeId> correct_ids, util::Rng& rng,
                    ForgedRound& out) override;
-  bool forge_block_idx(std::uint64_t round, std::span<const State> true_states,
-                       const CountingAlgorithm& algo, std::span<const NodeId> faulty_ids,
-                       std::span<const NodeId> correct_ids, util::Rng& rng,
-                       ForgedRound& out) override;
   bool forge_lanes_idx(std::uint64_t round, const CountingAlgorithm& algo,
                        std::span<const NodeId> faulty_ids,
                        std::span<const NodeId> correct_ids, std::span<util::Rng> rngs,
@@ -95,10 +91,6 @@ class SplitAdversary final : public Adversary {
                    const CountingAlgorithm& algo, std::span<const NodeId> faulty_ids,
                    std::span<const NodeId> correct_ids, util::Rng& rng,
                    ForgedRound& out) override;
-  bool forge_block_idx(std::uint64_t round, std::span<const State> true_states,
-                       const CountingAlgorithm& algo, std::span<const NodeId> faulty_ids,
-                       std::span<const NodeId> correct_ids, util::Rng& rng,
-                       ForgedRound& out) override;
   bool forge_lanes_idx(std::uint64_t round, const CountingAlgorithm& algo,
                        std::span<const NodeId> faulty_ids,
                        std::span<const NodeId> correct_ids, std::span<util::Rng> rngs,

@@ -50,14 +50,6 @@ bool Adversary::idx_guard(IdxGuard& g, const CountingAlgorithm& algo) {
   return g.ok;
 }
 
-bool Adversary::forge_block_idx(std::uint64_t /*round*/, std::span<const State> /*true_states*/,
-                                const CountingAlgorithm& /*algo*/,
-                                std::span<const NodeId> /*faulty_ids*/,
-                                std::span<const NodeId> /*correct_ids*/, util::Rng& /*rng*/,
-                                ForgedRound& /*out*/) {
-  return false;
-}
-
 bool Adversary::forge_lanes_idx(std::uint64_t /*round*/, const CountingAlgorithm& /*algo*/,
                                 std::span<const NodeId> /*faulty_ids*/,
                                 std::span<const NodeId> /*correct_ids*/,

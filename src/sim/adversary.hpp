@@ -21,8 +21,9 @@ using counting::CountingAlgorithm;
 using counting::NodeId;
 using counting::State;
 
-// One round's worth of forged messages, produced in bulk by
-// Adversary::forge_block for the batched backends. Rather than one state per
+// One round's worth of forged messages, produced in bulk for the batched
+// backends by Adversary::forge_block (Adversary::forge_lanes_idx fills only
+// the geometry and writes the states as indices). Rather than one state per
 // (sender, receiver) pair, the round is described as `num_profiles` distinct
 // receiver views plus a map from receiver to profile: structured equivocators
 // send very few distinct values per round (split: two), so the backends
@@ -38,17 +39,12 @@ using counting::State;
 //    entries are read.
 //  * profile_of must be a pure function of (round, faulty_ids, n) -- never of
 //    the rng or the states -- so that all lanes of a batch block share one
-//    receiver-to-profile map per round. The batched runners assert this.
+//    receiver-to-profile map per round. The batched runners check this, and
+//    the map's size and range, in every build type (sim/lanes.hpp).
 struct ForgedRound {
   int num_profiles = 0;
   std::vector<State> states;
   std::vector<std::uint16_t> profile_of;
-
-  // Index fast path (see Adversary::forge_block_idx): canonical state
-  // indices, same [p * num_faulty + k] layout as `states`. Exactly one of
-  // `states` / `idx` is meaningful per call, depending on the entry point
-  // that filled this ForgedRound.
-  std::vector<std::uint8_t> idx;
 };
 
 class Adversary {
@@ -85,20 +81,6 @@ class Adversary {
                            std::span<const NodeId> correct_ids, util::Rng& rng,
                            ForgedRound& out);
 
-  // Fast variant of forge_block for algorithms whose states are canonical
-  // table indices (num_states <= 256, state_bits <= 64): fills
-  // out.num_profiles / out.profile_of / out.idx -- drawing from `rng` in
-  // exactly forge_block's order -- and returns true. The default returns
-  // false (no index path); callers then fall back to forge_block and reduce
-  // the BitVec states themselves. Worth overriding only for draw-heavy
-  // strategies (split, random), where skipping the 256-bit state round-trip
-  // leaves the rng draws as the dominant per-lane cost.
-  virtual bool forge_block_idx(std::uint64_t round, std::span<const State> true_states,
-                               const CountingAlgorithm& algo,
-                               std::span<const NodeId> faulty_ids,
-                               std::span<const NodeId> correct_ids, util::Rng& rng,
-                               ForgedRound& out);
-
   // Lane-batched index forging: one call forges the whole round for every
   // lane whose bit is set in `active` (word w bit b = lane 64w + b; lane
   // count = rngs.size()), amortising the virtual dispatch and keeping the
@@ -107,12 +89,13 @@ class Adversary {
   // so cross-lane order is free) and write the canonical indices slot-major:
   // out_idx[(p * |faulty_ids| + k) * rngs.size() + l]. The lane-invariant
   // profile geometry (num_profiles, profile_of) is written to `out`;
-  // out.states / out.idx are not touched. Returns false when the strategy or
-  // algorithm does not admit the path -- only state-oblivious strategies
-  // with per-lane-stateless forging can override this, since it sees neither
+  // out.states is not touched. Returns false when the strategy or algorithm
+  // does not admit the path (canonical indices need |X| <= 256 and
+  // state_bits <= 64) -- only state-oblivious strategies with
+  // per-lane-stateless forging can override this, since it sees neither
   // true_states nor the per-lane adversary instances. A false return must
-  // leave every rng untouched (the caller re-forges through the per-lane
-  // entry points). The default returns false.
+  // leave every rng untouched (the caller re-forges every lane through
+  // forge_block). The default returns false.
   virtual bool forge_lanes_idx(std::uint64_t round, const CountingAlgorithm& algo,
                                std::span<const NodeId> faulty_ids,
                                std::span<const NodeId> correct_ids,
@@ -167,7 +150,7 @@ class Adversary {
  protected:
   Adversary() = default;
 
-  // Cached forge_block_idx admission check, keyed by the algorithm instance
+  // Cached forge_lanes_idx admission check, keyed by the algorithm instance
   // so the per-round fast path costs one pointer compare instead of two
   // virtual queries. Overriders keep one of these per adversary; the batched
   // runners hold the algorithm alive for the whole run, so the key cannot
@@ -181,21 +164,11 @@ class Adversary {
   };
 
   // Refreshes `g` if `algo` changed; returns g.ok. Admissible iff the state
-  // space is enumerable with |X| <= 256 and state_bits <= 64 (one raw draw
-  // chunk, so the idx path's rng sequence matches raw_random_state's).
+  // space is enumerable with |X| <= 256 and state_bits <= 64: one raw draw
+  // chunk per state, so a uniform index is one next_u64() reduced like the
+  // table consumers reduce a raw pattern -- low `bits` bits, then mod |X| --
+  // and the idx path's rng sequence matches raw_random_state's.
   static bool idx_guard(IdxGuard& g, const CountingAlgorithm& algo);
-
-  // Draw-order-compatible uniform canonical index: one next_u64() per state
-  // (exactly the chunk sequence of a raw arbitrary-state draw for
-  // state_bits <= 64), reduced like the table consumers reduce a raw
-  // pattern -- low `bits` bits, then mod |X|. bits = ceil_log2(|X|) keeps
-  // 2^bits <= 2|X|, so the mod is a single conditional subtract.
-  static std::uint8_t raw_random_idx(const IdxGuard& g, util::Rng& rng) noexcept {
-    if (g.bits == 0) return 0;  // |X| = 1: the raw draw has no chunks
-    std::uint64_t v = rng.next_u64() & g.mask;
-    v -= g.ns & -static_cast<std::uint64_t>(v >= g.ns);  // branchless v %= |X|
-    return static_cast<std::uint8_t>(v);
-  }
 };
 
 }  // namespace synccount::sim

@@ -3,39 +3,14 @@
 #include <algorithm>
 #include <array>
 #include <bit>
-#include <cstdlib>
 #include <cstring>
-
-#if defined(__x86_64__)
-#include <immintrin.h>
-#endif
 #include <span>
 
-#include "sim/checker.hpp"
 #include "sim/composed_runner.hpp"
-#include "sim/faults.hpp"
+#include "sim/lanes.hpp"
 #include "util/check.hpp"
 
 namespace synccount::sim {
-
-int default_batch_words() noexcept {
-  static const int words = [] {
-    // synccount-lint: allow(nondet) -- documented SYNCCOUNT_BATCH_WORDS pin,
-    // read once; plane width changes throughput only, results stay bit-equal.
-    if (const char* env = std::getenv("SYNCCOUNT_BATCH_WORDS")) {
-      const int v = std::atoi(env);
-      if (v == 1 || v == 2 || v == 4 || v == 8) return v;
-    }
-#if defined(__x86_64__) || defined(__i386__)
-    if (__builtin_cpu_supports("avx512f")) return 8;
-    if (__builtin_cpu_supports("avx2")) return 4;
-    return 2;
-#else
-    return 4;
-#endif
-  }();
-  return words;
-}
 
 namespace {
 
@@ -43,91 +18,65 @@ using counting::CompiledTable;
 using counting::NodeId;
 
 constexpr std::size_t kLanesPerWord = 64;
+constexpr auto kWords = static_cast<std::size_t>(default_batch_words());
+constexpr std::size_t kBlockLanes = kLanesPerWord * kWords;
 
-#if defined(__x86_64__)
-// Transposes 64 contiguous 2-bit state indices (one byte each) into a pair of
-// bitplane words via byte-lane movemask: shifting bit b of each byte to the
-// byte's MSB and taking VPMOVMSKB yields 32 plane bits per vector. Cross-byte
-// spill from the 64-bit-lane shift never lands on an MSB, so the extraction
-// is exact for byte values < 4.
-__attribute__((target("avx2"))) inline void planes_from_bytes_avx2(const std::uint8_t* src,
-                                                                   std::uint64_t& b0,
-                                                                   std::uint64_t& b1) {
-  // memcpy, not reinterpret_cast + loadu: same single vmovdqu instruction,
-  // but without forming a pointer whose strict-aliasing status is debatable.
-  __m256i lo;
-  __m256i hi;
-  std::memcpy(&lo, src, sizeof(lo));
-  std::memcpy(&hi, src + 32, sizeof(hi));
-  const auto l0 = static_cast<std::uint32_t>(_mm256_movemask_epi8(_mm256_slli_epi64(lo, 7)));
-  const auto h0 = static_cast<std::uint32_t>(_mm256_movemask_epi8(_mm256_slli_epi64(hi, 7)));
-  const auto l1 = static_cast<std::uint32_t>(_mm256_movemask_epi8(_mm256_slli_epi64(lo, 6)));
-  const auto h1 = static_cast<std::uint32_t>(_mm256_movemask_epi8(_mm256_slli_epi64(hi, 6)));
-  b0 = static_cast<std::uint64_t>(l0) | (static_cast<std::uint64_t>(h0) << 32);
-  b1 = static_cast<std::uint64_t>(l1) | (static_cast<std::uint64_t>(h1) << 32);
-}
-#endif
-
-// Portable transpose of `count` (<= 64) state-index bytes into bitplanes.
+// Transposes `count` (<= 64) contiguous 2-bit state indices, one byte each,
+// into a pair of bitplane words: bit b of byte i lands at bit i of plane b.
+// Eight lanes per multiply: masking bit b of every byte of a little-endian
+// word and multiplying by 0x0102040810204080 gathers the eight bits, free of
+// carries, into the top byte of the product. A byte loop takes the tail.
 inline void planes_from_bytes(const std::uint8_t* src, std::size_t count, std::uint64_t& b0,
                               std::uint64_t& b1) noexcept {
-#if defined(__x86_64__)
-  static const bool kHaveAvx2 = __builtin_cpu_supports("avx2");
-  if (kHaveAvx2 && count == kLanesPerWord) {
-    planes_from_bytes_avx2(src, b0, b1);
-    return;
+  constexpr std::uint64_t kLowBits = 0x0101010101010101ULL;
+  constexpr std::uint64_t kGather = 0x0102040810204080ULL;
+  std::uint64_t lo = 0;
+  std::uint64_t hi = 0;
+  std::size_t b = 0;
+  if constexpr (std::endian::native == std::endian::little) {
+    for (; b + 8 <= count; b += 8) {
+      std::uint64_t x;
+      std::memcpy(&x, src + b, sizeof(x));
+      lo |= (((x & kLowBits) * kGather) >> 56) << b;
+      hi |= ((((x >> 1) & kLowBits) * kGather) >> 56) << b;
+    }
   }
-#endif
-  b0 = 0;
-  b1 = 0;
-  for (std::size_t b = 0; b < count; ++b) {
+  for (; b < count; ++b) {
     const auto v = static_cast<std::uint64_t>(src[b]);
-    b0 |= (v & 1) << b;
-    b1 |= ((v >> 1) & 1) << b;
+    lo |= (v & 1) << b;
+    hi |= ((v >> 1) & 1) << b;
   }
+  b0 = lo;
+  b1 = hi;
 }
 
-// One block of up to 64 * NW lanes advanced in lockstep. NW is the plane
-// word count (1/2/4/8): every bitplane is an array of NW uint64_t, so the
-// word-wise loops below auto-vectorise into 64*NW-bit operations. Hot
-// per-lane state (rng, adversary, checker) lives in parallel arrays; the
-// cold result/state vectors sit in LaneCold so the round loop touches as few
-// lines as possible.
-template <int NW>
+// One block of up to 512 lanes advanced in lockstep. Every bitplane is an
+// array of kWords uint64_t, so the word-wise loops below auto-vectorise; a
+// short block leaves its spare lanes inactive, and every plane consumer
+// masks with active_. The layout-independent per-lane state (rng, adversary,
+// checker, materialised states) lives in the shared lane harness.
 class Block {
  public:
-  using Mask = std::array<std::uint64_t, NW>;
-  static constexpr std::size_t kLanes = kLanesPerWord * static_cast<std::size_t>(NW);
+  using Mask = std::array<std::uint64_t, kWords>;
 
   Block(const BatchConfig& cfg, const counting::TableAlgorithm& algo,
-        std::span<const std::uint64_t> seeds, bool bit_sliced)
+        std::span<const std::uint64_t> seeds)
       : cfg_(cfg),
         algo_(algo),
         ct_(algo.compiled()),
         n_(ct_.n),
         ns_(ct_.num_states),
         W_(seeds.size()),
-        bit_sliced_(bit_sliced) {
-    SC_REQUIRE(W_ <= kLanes, "batch block overflow");
+        bit_sliced_(ns_ <= 4),
+        lanes_(cfg, algo, seeds) {
+    SC_REQUIRE(W_ <= kBlockLanes, "batch block overflow");
     const auto nn = static_cast<std::size_t>(n_);
-
-    std::vector<bool> faulty = cfg.faulty;
-    if (faulty.empty()) faulty.assign(nn, false);
-    SC_CHECK(faulty.size() == nn, "fault vector size mismatch");
-    SC_CHECK(fault_count(faulty) <= algo_.resilience(),
-             "more faults than the algorithm's resilience");
-    faulty_ids_ = fault_ids(faulty);
+    const std::vector<NodeId>& correct = lanes_.correct;
     sender_kind_.assign(nn, -1);
-    for (std::size_t k = 0; k < faulty_ids_.size(); ++k) {
-      sender_kind_[static_cast<std::size_t>(faulty_ids_[k])] = static_cast<int>(k);
+    for (std::size_t k = 0; k < lanes_.faulty_ids.size(); ++k) {
+      sender_kind_[static_cast<std::size_t>(lanes_.faulty_ids[k])] = static_cast<int>(k);
     }
-    for (int i = 0; i < n_; ++i) {
-      if (!faulty[static_cast<std::size_t>(i)]) correct_.push_back(i);
-    }
-    SC_CHECK(!correct_.empty(), "all nodes faulty");
-    prof_.assign(correct_.size(), 0);
-
-    margin_ = resolve_margin(cfg.margin, cfg.max_rounds, algo_.modulus());
+    prof_.assign(correct.size(), 0);
 
     if (bit_sliced_) {
       p_.assign(nn, {});
@@ -138,19 +87,19 @@ class Block {
       // bit b set for correct node j; ORing their equality masks yields the
       // node's output bitplane.
       std::uint64_t max_out = 0;
-      for (const NodeId i : correct_) {
+      for (const NodeId i : correct) {
         for (std::uint64_t v = 0; v < ns_; ++v) {
           max_out = std::max<std::uint64_t>(max_out, ct_.out(i, static_cast<std::uint8_t>(v)));
         }
       }
       out_bits_ = static_cast<int>(std::bit_width(max_out));
-      hv_.assign(correct_.size() * static_cast<std::size_t>(out_bits_), 0);
-      ob_.assign(correct_.size() * static_cast<std::size_t>(out_bits_), Mask{});
-      for (std::size_t j = 0; j < correct_.size(); ++j) {
+      hv_.assign(correct.size() * static_cast<std::size_t>(out_bits_), 0);
+      ob_.assign(correct.size() * static_cast<std::size_t>(out_bits_), Mask{});
+      for (std::size_t j = 0; j < correct.size(); ++j) {
         for (int b = 0; b < out_bits_; ++b) {
           std::uint8_t mask = 0;
           for (std::uint64_t v = 0; v < ns_; ++v) {
-            if ((ct_.out(correct_[j], static_cast<std::uint8_t>(v)) >> b) & 1) {
+            if ((ct_.out(correct[j], static_cast<std::uint8_t>(v)) >> b) & 1) {
               mask |= static_cast<std::uint8_t>(1u << v);
             }
           }
@@ -164,44 +113,20 @@ class Block {
       acc_.assign(W_, 0);
     }
 
-    // Lane setup mirrors the scalar runner's preamble draw for draw.
-    rngs_.reserve(W_);
-    advs_.reserve(W_);
-    checkers_.reserve(W_);
-    lanes_.resize(W_);
-    frs_.resize(W_);
     for (std::size_t l = 0; l < W_; ++l) {
-      rngs_.emplace_back(seeds[l]);
-      advs_.push_back(cfg.adversary());
-      SC_CHECK(advs_.back() != nullptr, "batch adversary factory returned null");
-      checkers_.emplace_back(algo_.modulus());
-      LaneCold& ln = lanes_[l];
-      ln.result.correct_ids = correct_;
-      ln.states.resize(nn);
-      if (!cfg.initial.empty()) {
-        SC_CHECK(cfg.initial.size() == nn, "initial state vector size mismatch");
-        for (std::size_t i = 0; i < nn; ++i) ln.states[i] = algo_.canonicalize(cfg.initial[i]);
-      } else {
-        for (auto& s : ln.states) s = counting::arbitrary_state(algo_, rngs_[l]);
-      }
+      const std::vector<State>& states = lanes_.cold[l].states;
       for (int i = 0; i < n_; ++i) {
-        set_idx(i, l, static_cast<std::uint8_t>(algo_.state_to_index(
-                          ln.states[static_cast<std::size_t>(i)])));
+        set_idx(i, l, static_cast<std::uint8_t>(
+                          algo_.state_to_index(states[static_cast<std::size_t>(i)])));
       }
       active_[l / kLanesPerWord] |= 1ULL << (l % kLanesPerWord);
     }
-    faultless_ = faulty_ids_.empty();
-    const Adversary& probe = *advs_.front();
-    state_oblivious_ = probe.state_oblivious();
-    // Skipping a no-op begin_round or re-forging an execution-constant
-    // message has no observable effect, so these stay bit-identical to the
-    // scalar runner while eliding most per-lane virtual dispatch.
-    passive_rounds_ = probe.begin_round_passive();
-    static_forge_ = !faultless_ && probe.receiver_oblivious() && probe.forgery_static();
+    frs_.resize(W_);
   }
 
-  void run() {
+  std::vector<RunResult> run() {
     const bool recording = cfg_.record_outputs || cfg_.record_states;
+    const std::vector<NodeId>& correct = lanes_.correct;
     for (std::uint64_t round = 0; round < cfg_.max_rounds && mask_any(active_); ++round) {
       // --- Round summary: outputs + agreement --------------------------------
       // Bit-sliced kernel: one pass over the state bitplanes yields, for all
@@ -212,77 +137,79 @@ class Block {
       Mask agreed;
       agreed.fill(~0ULL);
       if (bit_sliced_) {
-        for (const NodeId i : correct_) {
+        for (const NodeId i : correct) {
           eqc_[static_cast<std::size_t>(i)] = eq_masks(p_[static_cast<std::size_t>(i)]);
         }
         const auto ob = static_cast<std::size_t>(out_bits_);
-        for (std::size_t j = 0; j < correct_.size(); ++j) {
-          const auto& eq = eqc_[static_cast<std::size_t>(correct_[j])];
+        for (std::size_t j = 0; j < correct.size(); ++j) {
+          const auto& eq = eqc_[static_cast<std::size_t>(correct[j])];
           for (std::size_t b = 0; b < ob; ++b) {
             const std::uint8_t states_with_bit = hv_[j * ob + b];
             Mask plane{};
             for (std::uint64_t v = 0; v < ns_; ++v) {
               if ((states_with_bit >> v) & 1) {
-                for (int w = 0; w < NW; ++w) plane[w] |= eq[v][w];
+                for (std::size_t w = 0; w < kWords; ++w) plane[w] |= eq[v][w];
               }
             }
             ob_[j * ob + b] = plane;
           }
         }
-        for (std::size_t j = 1; j < correct_.size(); ++j) {
+        for (std::size_t j = 1; j < correct.size(); ++j) {
           for (std::size_t b = 0; b < ob; ++b) {
-            for (int w = 0; w < NW; ++w) {
+            for (std::size_t w = 0; w < kWords; ++w) {
               agreed[w] &= ~(ob_[j * ob + b][w] ^ ob_[b][w]);
             }
           }
         }
       }
 
-      const bool will_forge = !faultless_ && !(static_forge_ && static_forged_);
+      const bool will_forge = lanes_.will_forge();
 
       // --- Per-lane pass: checker, recording, early exit, adversary ----------
       // Lane-internal order matches the scalar runner exactly: observe,
-      // record, early-exit check, then the adversary's whole round through
-      // forge_block (begin_round plus every message query, in the scalar
-      // call order).
-      for (int w = 0; w < NW; ++w) {
+      // record, early-exit check, then the adversary's whole round (forged
+      // below, begin_round plus every message query in the scalar call
+      // order).
+      for (std::size_t w = 0; w < kWords; ++w) {
         for (std::uint64_t m = active_[w]; m; m &= m - 1) {
           const auto bit = static_cast<std::size_t>(std::countr_zero(m));
-          const std::size_t l = static_cast<std::size_t>(w) * kLanesPerWord + bit;
+          const std::size_t l = w * kLanesPerWord + bit;
+          bool stop;
           if (bit_sliced_) {
             std::uint64_t value = 0;
             for (int b = 0; b < out_bits_; ++b) {
               value |= ((ob_[static_cast<std::size_t>(b)][w] >> bit) & 1) << b;
             }
-            checkers_[l].observe_summary(((agreed[w] >> bit) & 1) != 0, value);
+            stop = lanes_.observe(l, ((agreed[w] >> bit) & 1) != 0, value);
           } else {
             bool lane_agreed = true;
-            const std::uint64_t first = ct_.out(correct_.front(), idx_of(correct_.front(), l));
-            for (std::size_t j = 1; j < correct_.size(); ++j) {
-              if (ct_.out(correct_[j], idx_of(correct_[j], l)) != first) {
+            const std::uint64_t first = ct_.out(correct.front(), idx_of(correct.front(), l));
+            for (std::size_t j = 1; j < correct.size(); ++j) {
+              if (ct_.out(correct[j], idx_of(correct[j], l)) != first) {
                 lane_agreed = false;
                 break;
               }
             }
-            checkers_[l].observe_summary(lane_agreed, first);
+            stop = lanes_.observe(l, lane_agreed, first);
           }
           if (recording) record_lane(l);
-          if (cfg_.stop_after_stable > 0 &&
-              checkers_[l].suffix_length() >= cfg_.stop_after_stable) {
+          if (stop) {
             active_[w] &= ~(1ULL << bit);
             continue;
           }
-          if (will_forge || passive_rounds_) continue;
-          if (!state_oblivious_) refresh_states(l);
-          advs_[l]->begin_round(round, lanes_[l].states, algo_, faulty_ids_, rngs_[l]);
+          if (will_forge || lanes_.passive_rounds) continue;
+          if (!lanes_.state_oblivious) refresh_states(l);
+          lanes_.begin_round(l, round, algo_);
         }
       }
       // Forging runs below the per-lane pass so that one lane-batched
       // adversary call can serve the whole block. The deferral is
       // unobservable: nothing between a lane's observe and its forging draws
       // from its rng, and lanes are independent streams.
-      if (will_forge) forge_lanes(round);
-      if (will_forge && static_forge_) static_forged_ = true;
+      if (will_forge) {
+        forge_lanes(round);
+        lanes_.static_forged = lanes_.static_forge;
+      }
       if (!mask_any(active_)) break;
 
       // --- Transition: all lanes in one pass ---------------------------------
@@ -292,39 +219,13 @@ class Block {
         transition_soa();
       }
     }
-
-    for (std::size_t l = 0; l < W_; ++l) {
-      RunResult& r = lanes_[l].result;
-      const StabilisationChecker& ck = checkers_[l];
-      r.rounds = ck.rounds();
-      r.stabilisation_round = ck.suffix_start();
-      r.suffix_length = ck.suffix_length();
-      r.max_window = ck.max_window();
-      r.stabilised = r.suffix_length >= std::min<std::uint64_t>(margin_, r.rounds);
-      // Table algorithms never pull; avg/max stay 0 exactly as in the scalar
-      // runner's accounting.
-    }
-  }
-
-  std::vector<RunResult> take_results() {
-    std::vector<RunResult> out;
-    out.reserve(W_);
-    for (auto& ln : lanes_) out.push_back(std::move(ln.result));
-    return out;
+    return lanes_.finish();
   }
 
  private:
-  struct LaneCold {
-    RunResult result;
-    // Materialised BitVec states for adversary queries and recording; faulty
-    // entries are fixed for the whole run, correct entries are refreshed
-    // from the index representation on demand.
-    std::vector<State> states;
-  };
-
   static bool mask_any(const Mask& m) noexcept {
     std::uint64_t r = 0;
-    for (int w = 0; w < NW; ++w) r |= m[w];
+    for (std::size_t w = 0; w < kWords; ++w) r |= m[w];
     return r != 0;
   }
 
@@ -358,9 +259,9 @@ class Block {
   // the profile count, the correct-receiver-to-profile map, and the forged
   // plane / byte-row storage ((profile, sender) slots).
   void set_profiles(const ForgedRound& fr) {
-    SC_REQUIRE(fr.num_profiles >= 1, "forge_block produced no profiles");
+    lanes_.check_profiles(fr);
     nprof_ = fr.num_profiles;
-    const std::size_t slots = static_cast<std::size_t>(nprof_) * faulty_ids_.size();
+    const std::size_t slots = static_cast<std::size_t>(nprof_) * lanes_.faulty_ids.size();
     if (bit_sliced_) {
       if (fpp_.size() < slots) {
         fpp_.resize(slots);
@@ -369,27 +270,25 @@ class Block {
     } else if (fbp_.size() < slots * W_) {
       fbp_.resize(slots * W_);
     }
-    for (std::size_t j = 0; j < correct_.size(); ++j) {
-      prof_[j] = fr.profile_of.empty()
-                     ? 0
-                     : fr.profile_of[static_cast<std::size_t>(correct_[j])];
-      SC_ASSERT(prof_[j] < nprof_);
+    const std::vector<NodeId>& correct = lanes_.correct;
+    for (std::size_t j = 0; j < correct.size(); ++j) {
+      prof_[j] = fr.profile_of.empty() ? 0 : fr.profile_of[static_cast<std::size_t>(correct[j])];
     }
   }
 
   // Forges the round for every lane still in active_. Tries the lane-batched
   // index entry point first -- one virtual call and one flat slot-major index
-  // buffer for the whole block -- and falls back to the per-lane entry points
-  // (idx, then full forge_block) the first time the adversary declines.
+  // buffer for the whole block -- and falls back to per-lane forge_block the
+  // first time the adversary declines.
   void forge_lanes(std::uint64_t round) {
-    const std::size_t nf = faulty_ids_.size();
+    const std::vector<NodeId>& faulty_ids = lanes_.faulty_ids;
+    const std::size_t nf = faulty_ids.size();
     if (lanes_batched_) {
-      if (fidx_.empty()) fidx_.assign(correct_.size() * nf * W_, 0);
+      if (fidx_.empty()) fidx_.assign(lanes_.correct.size() * nf * W_, 0);
       ForgedRound& fr = frs_.front();
-      if (advs_.front()->forge_lanes_idx(round, algo_, faulty_ids_, correct_,
-                                         std::span<util::Rng>(rngs_),
-                                         std::span<const std::uint64_t>(active_.data(), NW),
-                                         fidx_.data(), fr)) {
+      if (lanes_.advs.front()->forge_lanes_idx(
+              round, algo_, faulty_ids, lanes_.correct, std::span<util::Rng>(lanes_.rngs),
+              std::span<const std::uint64_t>(active_), fidx_.data(), fr)) {
         set_profiles(fr);
         scatter_forged(static_cast<std::size_t>(nprof_) * nf);
         return;
@@ -398,41 +297,24 @@ class Block {
       // fallback below re-forges from an untouched stream.
       lanes_batched_ = false;
     }
-    const ForgedRound* first_fr = nullptr;
-    for (int w = 0; w < NW; ++w) {
+    const ForgedRound* first = nullptr;
+    for (std::size_t w = 0; w < kWords; ++w) {
       for (std::uint64_t m = active_[w]; m; m &= m - 1) {
-        const std::size_t l = static_cast<std::size_t>(w) * kLanesPerWord +
-                              static_cast<std::size_t>(std::countr_zero(m));
-        if (!state_oblivious_) refresh_states(l);
+        const std::size_t l = w * kLanesPerWord + static_cast<std::size_t>(std::countr_zero(m));
+        if (!lanes_.state_oblivious) refresh_states(l);
         ForgedRound& fr = frs_[l];
-        // Index fast path first: draw-heavy strategies fill canonical
-        // indices directly, skipping the 256-bit State round-trip that
-        // otherwise dominates the per-lane forging cost.
-        const bool idx_path = advs_[l]->forge_block_idx(round, lanes_[l].states, algo_,
-                                                        faulty_ids_, correct_, rngs_[l], fr);
-        if (!idx_path) {
-          advs_[l]->forge_block(round, lanes_[l].states, algo_, faulty_ids_, correct_,
-                                rngs_[l], fr);
-        }
-        if (first_fr == nullptr) {
-          first_fr = &fr;
+        lanes_.forge_block(l, round, algo_, fr);
+        if (first == nullptr) {
+          first = &fr;
           set_profiles(fr);
-        } else {
-          // The receiver-to-profile map must be lane-invariant (see the
-          // ForgedRound contract); only the profile payloads may differ.
-          SC_ASSERT(fr.num_profiles == nprof_ && fr.profile_of == first_fr->profile_of);
         }
-        const std::size_t slots = static_cast<std::size_t>(nprof_) * nf;
-        if (idx_path) {
-          for (std::size_t s = 0; s < slots; ++s) store_forged(s, l, fr.idx[s]);
-        } else {
-          for (std::size_t s = 0; s < slots; ++s) {
-            // bits = ceil_log2(ns) keeps the raw field below 2*ns, so the
-            // canonical reduction is a conditional subtract, not a divide.
-            std::uint64_t v = fr.states[s].get_bits(0, ct_.bits);
-            if (v >= ns_) v -= ns_;
-            store_forged(s, l, static_cast<std::uint8_t>(v));
-          }
+        lanes_.check_lane(fr, *first);
+        for (std::size_t s = 0; s < fr.states.size(); ++s) {
+          // bits = ceil_log2(ns) keeps the raw field below 2*ns, so the
+          // canonical reduction is a conditional subtract, not a divide.
+          std::uint64_t v = fr.states[s].get_bits(0, ct_.bits);
+          if (v >= ns_) v -= ns_;
+          store_forged(s, l, static_cast<std::uint8_t>(v));
         }
       }
     }
@@ -452,15 +334,11 @@ class Block {
     }
     for (std::size_t s = 0; s < slots; ++s) {
       const std::uint8_t* row = fidx_.data() + s * W_;
-      for (int w = 0; w < NW; ++w) {
-        const std::size_t base = static_cast<std::size_t>(w) * kLanesPerWord;
+      for (std::size_t w = 0; w < kWords; ++w) {
+        const std::size_t base = w * kLanesPerWord;
         if (base >= W_) break;
-        const std::size_t count = std::min(kLanesPerWord, W_ - base);
-        std::uint64_t b0 = 0;
-        std::uint64_t b1 = 0;
-        planes_from_bytes(row + base, count, b0, b1);
-        fpp_[s][0][w] = b0;
-        fpp_[s][1][w] = b1;
+        planes_from_bytes(row + base, std::min(kLanesPerWord, W_ - base), fpp_[s][0][w],
+                          fpp_[s][1][w]);
       }
     }
   }
@@ -474,33 +352,34 @@ class Block {
   }
 
   void refresh_states(std::size_t lane) {
-    LaneCold& ln = lanes_[lane];
-    for (const NodeId i : correct_) {
+    std::vector<State>& states = lanes_.cold[lane].states;
+    for (const NodeId i : lanes_.correct) {
       State s;
       s.set_bits(0, ct_.bits, idx_of(i, lane));
-      ln.states[static_cast<std::size_t>(i)] = s;
+      states[static_cast<std::size_t>(i)] = s;
     }
   }
 
   void record_lane(std::size_t lane) {
-    LaneCold& ln = lanes_[lane];
+    const std::vector<NodeId>& correct = lanes_.correct;
+    RunResult& result = lanes_.cold[lane].result;
     if (cfg_.record_outputs) {
-      std::vector<std::uint64_t> outs(correct_.size());
-      for (std::size_t j = 0; j < correct_.size(); ++j) {
-        outs[j] = ct_.out(correct_[j], idx_of(correct_[j], lane));
+      std::vector<std::uint64_t> outs(correct.size());
+      for (std::size_t j = 0; j < correct.size(); ++j) {
+        outs[j] = ct_.out(correct[j], idx_of(correct[j], lane));
       }
-      ln.result.outputs.push_back(std::move(outs));
+      result.outputs.push_back(std::move(outs));
     }
     if (cfg_.record_states) {
       refresh_states(lane);
-      ln.result.states.push_back(ln.states);
+      result.states.push_back(lanes_.cold[lane].states);
     }
   }
 
   // eq[v] = mask of lanes whose 2-bit plane value equals v.
   static std::array<Mask, 4> eq_masks(const std::array<Mask, 2>& p) noexcept {
     std::array<Mask, 4> e;
-    for (int w = 0; w < NW; ++w) {
+    for (std::size_t w = 0; w < kWords; ++w) {
       e[0][w] = ~p[0][w] & ~p[1][w];
       e[1][w] = p[0][w] & ~p[1][w];
       e[2][w] = ~p[0][w] & p[1][w];
@@ -511,7 +390,8 @@ class Block {
 
   void transition_bit_sliced() {
     const auto nn = static_cast<std::size_t>(n_);
-    const std::size_t nf = faulty_ids_.size();
+    const std::size_t nf = lanes_.faulty_ids.size();
+    const std::vector<NodeId>& correct = lanes_.correct;
     // eqc_ (equality bitplanes of the true states, shared by every receiver
     // because correct senders broadcast) was computed by the round summary;
     // each (profile, sender) forgery gets its own planes, shared by all
@@ -519,8 +399,8 @@ class Block {
     for (std::size_t s = 0; s < static_cast<std::size_t>(nprof_) * nf; ++s) {
       eqf_[s] = eq_masks(fpp_[s]);
     }
-    for (std::size_t j = 0; j < correct_.size(); ++j) {
-      const NodeId i = correct_[j];
+    for (std::size_t j = 0; j < correct.size(); ++j) {
+      const NodeId i = correct[j];
       const std::uint64_t* st = ct_.stride.data() + static_cast<std::size_t>(i) * nn;
       // Per-sender equality masks as seen by this receiver's profile.
       const std::size_t pbase = static_cast<std::size_t>(prof_[j]) * nf;
@@ -538,10 +418,10 @@ class Block {
         if (s == nn) {
           const std::uint8_t t = ct_.g[off];
           if (t & 1) {
-            for (int w = 0; w < NW; ++w) np0[w] |= mask[w];
+            for (std::size_t w = 0; w < kWords; ++w) np0[w] |= mask[w];
           }
           if (t & 2) {
-            for (int w = 0; w < NW; ++w) np1[w] |= mask[w];
+            for (std::size_t w = 0; w < kWords; ++w) np1[w] |= mask[w];
           }
           return;
         }
@@ -549,7 +429,7 @@ class Block {
         for (std::uint64_t v = 0; v < ns_; ++v) {
           Mask sub;
           std::uint64_t alive = 0;
-          for (int w = 0; w < NW; ++w) {
+          for (std::size_t w = 0; w < kWords; ++w) {
             sub[w] = mask[w] & e[v][w];
             alive |= sub[w];
           }
@@ -559,16 +439,17 @@ class Block {
       dfs(dfs, 0, active_, ct_.node_base[static_cast<std::size_t>(i)]);
       np_[static_cast<std::size_t>(i)] = {np0, np1};
     }
-    for (const NodeId i : correct_) {
+    for (const NodeId i : correct) {
       p_[static_cast<std::size_t>(i)] = np_[static_cast<std::size_t>(i)];
     }
   }
 
   void transition_soa() {
     const auto nn = static_cast<std::size_t>(n_);
-    const std::size_t nf = faulty_ids_.size();
-    for (std::size_t j = 0; j < correct_.size(); ++j) {
-      const NodeId i = correct_[j];
+    const std::size_t nf = lanes_.faulty_ids.size();
+    const std::vector<NodeId>& correct = lanes_.correct;
+    for (std::size_t j = 0; j < correct.size(); ++j) {
+      const NodeId i = correct[j];
       const std::uint64_t* st = ct_.stride.data() + static_cast<std::size_t>(i) * nn;
       const std::size_t pbase = static_cast<std::size_t>(prof_[j]) * nf;
       std::fill(acc_.begin(), acc_.end(),
@@ -584,7 +465,7 @@ class Block {
       std::uint8_t* dst = nxt_.data() + static_cast<std::size_t>(i) * W_;
       for (std::size_t l = 0; l < W_; ++l) dst[l] = ct_.g[acc_[l]];
     }
-    for (const NodeId i : correct_) {
+    for (const NodeId i : correct) {
       std::copy_n(nxt_.data() + static_cast<std::size_t>(i) * W_, W_,
                   cur_.data() + static_cast<std::size_t>(i) * W_);
     }
@@ -596,24 +477,11 @@ class Block {
   const int n_;
   const std::uint64_t ns_;
   const std::size_t W_;
-  const bool bit_sliced_;
+  const bool bit_sliced_;  // num_states <= 4: bitplanes, else SoA byte rows
 
-  std::vector<NodeId> correct_;
-  std::vector<NodeId> faulty_ids_;
-  std::vector<int> sender_kind_;  // -1 = correct, else index into faulty_ids_
-  bool faultless_ = true;
-  bool state_oblivious_ = false;
-  bool passive_rounds_ = false;
-  bool static_forge_ = false;
-  bool static_forged_ = false;  // the one-time static forging pass has run
-  std::uint64_t margin_ = 0;
-  Mask active_{};  // bitmask of lanes still running
-
-  // Hot per-lane state, parallel arrays indexed by lane.
-  std::vector<util::Rng> rngs_;
-  std::vector<std::unique_ptr<Adversary>> advs_;
-  std::vector<StabilisationChecker> checkers_;
-  std::vector<LaneCold> lanes_;
+  detail::Lanes lanes_;
+  std::vector<int> sender_kind_;  // -1 = correct, else index into faulty_ids
+  Mask active_{};                 // bitmask of lanes still running
   std::vector<ForgedRound> frs_;  // per-lane forgery scratch (persists across rounds)
 
   // Lane-batched forging: the slot-major [slot * W + lane] index buffer the
@@ -644,30 +512,11 @@ class Block {
   std::vector<std::uint32_t> acc_;
 };
 
-template <int NW>
-void run_table_block(const BatchConfig& cfg, const counting::TableAlgorithm& table,
-                     std::span<const std::uint64_t> seeds, bool bit_sliced,
-                     std::vector<RunResult>& results) {
-  Block<NW> block(cfg, table, seeds, bit_sliced);
-  block.run();
-  auto part = block.take_results();
-  for (auto& r : part) results.push_back(std::move(r));
-}
-
 }  // namespace
-
-bool batch_supported(const counting::AlgorithmPtr& algo) {
-  if (algo == nullptr) return false;
-  if (dynamic_cast<const counting::TableAlgorithm*>(algo.get()) != nullptr) return true;
-  return ComposedCompiledTable::compile(algo) != nullptr;
-}
 
 std::vector<RunResult> run_batch(const BatchConfig& cfg) {
   SC_CHECK(cfg.algo != nullptr, "no algorithm given");
   SC_CHECK(cfg.adversary != nullptr, "no adversary factory given");
-  SC_CHECK(cfg.words == 0 || cfg.words == 1 || cfg.words == 2 || cfg.words == 4 ||
-               cfg.words == 8,
-           "BatchConfig::words must be 0 (auto), 1, 2, 4 or 8");
 
   const auto table = std::dynamic_pointer_cast<const counting::TableAlgorithm>(cfg.algo);
   if (table == nullptr) {
@@ -682,46 +531,12 @@ std::vector<RunResult> run_batch(const BatchConfig& cfg) {
     return run_composed_batch(cfg, *composed);
   }
 
-  const auto& ct = table->compiled();
-  bool bit_sliced;
-  switch (cfg.kernel) {
-    case BatchKernel::kSoA:
-      bit_sliced = false;
-      break;
-    case BatchKernel::kBitSliced:
-      SC_CHECK(ct.num_states <= 4, "bit-sliced kernel needs num_states <= 4");
-      bit_sliced = true;
-      break;
-    default:
-      bit_sliced = ct.num_states <= 4;
-      break;
-  }
-
-  const int words = cfg.words == 0 ? default_batch_words() : cfg.words;
-  const std::size_t block_lanes = kLanesPerWord * static_cast<std::size_t>(words);
   std::vector<RunResult> results;
   results.reserve(cfg.seeds.size());
-  for (std::size_t start = 0; start < cfg.seeds.size(); start += block_lanes) {
-    const std::size_t count = std::min(block_lanes, cfg.seeds.size() - start);
-    const auto seeds = std::span<const std::uint64_t>(cfg.seeds).subspan(start, count);
-    // Tail blocks shrink to the smallest plane width covering the remaining
-    // lanes; the width never changes per-lane results.
-    int nw = 1;
-    while (kLanesPerWord * static_cast<std::size_t>(nw) < count) nw *= 2;
-    switch (nw) {
-      case 1:
-        run_table_block<1>(cfg, *table, seeds, bit_sliced, results);
-        break;
-      case 2:
-        run_table_block<2>(cfg, *table, seeds, bit_sliced, results);
-        break;
-      case 4:
-        run_table_block<4>(cfg, *table, seeds, bit_sliced, results);
-        break;
-      default:
-        run_table_block<8>(cfg, *table, seeds, bit_sliced, results);
-        break;
-    }
+  for (std::size_t start = 0; start < cfg.seeds.size(); start += kBlockLanes) {
+    const std::size_t count = std::min(kBlockLanes, cfg.seeds.size() - start);
+    Block block(cfg, *table, std::span<const std::uint64_t>(cfg.seeds).subspan(start, count));
+    for (auto& r : block.run()) results.push_back(std::move(r));
   }
   return results;
 }

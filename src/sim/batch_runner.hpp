@@ -1,35 +1,35 @@
 // Batched execution backends.
 //
-// run_batch advances W independent executions of the same (algorithm, fault
+// run_batch advances independent executions of the same (algorithm, fault
 // placement, adversary class) cell-group in lockstep, one round at a time,
 // and dispatches on the algorithm's structure:
 //
 //  * TableAlgorithm -- the bit-parallel path. States live in a
-//    canonical-index representation instead of BitVecs: a structure-of-arrays
-//    byte layout in the general case, and for num_states <= 4 a bit-sliced
-//    layout that packs one state-bitplane of 64 executions into each
-//    uint64_t. Planes are multi-word (1/2/4/8 x uint64_t, i.e. up to
-//    512-bit, auto-vectorised), so one enumeration pass over the compiled
-//    table advances up to 512 executions; the width is picked once per
-//    process from the host ISA (default_batch_words) unless pinned via
-//    BatchConfig::words.
+//    canonical-index representation instead of BitVecs, in blocks of 512
+//    executions ("lanes"). The kernel follows from the table alone: for
+//    num_states <= 4 a bit-sliced layout packs one state-bitplane of the
+//    block into 8 x uint64_t (auto-vectorised word loops), so one
+//    enumeration pass over the compiled table advances all 512 lanes;
+//    larger tables use a structure-of-arrays byte layout. A short final
+//    block runs with its spare lanes inactive.
 //  * BoostedCounter / PullingBoostedCounter towers -- the composed path
 //    (sim/composed_runner.hpp). Each boosting level is compiled into field
 //    stages (base kernel, per-copy votes, phase-king glue) evaluated on a
 //    decomposed per-node field vector, with per-copy vote sharing for
 //    receiver-oblivious adversaries.
 //
-// Forged messages are produced per lane-round through the adversary's bulk
-// entry point (Adversary::forge_block): a handful of receiver *profiles*
-// plus a lane-invariant receiver-to-profile map, so the kernels build
-// equality planes / byte rows once per (profile, sender) instead of once per
+// Forged messages are produced per round through the adversary's bulk entry
+// points (Adversary::forge_lanes_idx for a whole block, else
+// Adversary::forge_block per lane): a handful of receiver *profiles* plus a
+// lane-invariant receiver-to-profile map, so the kernels build equality
+// planes / byte rows once per (profile, sender) instead of once per
 // receiver.
 //
 // Per-execution randomness (initial states, adversary draws) always flows
-// through one Rng and one Adversary instance per lane, invoked in exactly
-// the scalar runner's call order, so every lane's RunResult is bit-identical
-// to run_execution on the same seed -- the engine can mix backends freely
-// without changing any aggregate.
+// through one Rng and one Adversary instance per lane (sim/lanes.hpp),
+// invoked in exactly the scalar runner's call order, so every lane's
+// RunResult is bit-identical to run_execution on the same seed -- the engine
+// can mix backends freely without changing any aggregate.
 #pragma once
 
 #include <cstdint>
@@ -43,25 +43,16 @@
 
 namespace synccount::sim {
 
-// Which transition kernel the TableAlgorithm path of run_batch uses. kAuto
-// picks kBitSliced whenever the table allows it (num_states <= 4) and kSoA
-// otherwise. Composed algorithms have a single kernel and accept only kAuto;
-// run_batch / run_composed_batch throw std::invalid_argument on kSoA or
-// kBitSliced rather than silently ignoring the request.
-enum class BatchKernel { kAuto, kSoA, kBitSliced };
-
-// Plane words per batch block on the TableAlgorithm path: the word count the
-// process-wide auto width (BatchConfig::words == 0) resolves to. Picked once
-// per process from the host ISA -- 8 (512-bit planes) with AVX-512F, 4
-// (256-bit) with AVX2, else 2 -- and overridable for experiments via the
-// SYNCCOUNT_BATCH_WORDS environment variable (1, 2, 4 or 8). The width never
-// changes results, only how many executions one table pass advances.
-int default_batch_words() noexcept;
+// Plane words per block on the TableAlgorithm path: every bitplane is 8 x
+// uint64_t, so a table block holds 512 lanes. The width never changes
+// results, only how many executions one table pass advances.
+constexpr int default_batch_words() noexcept { return 8; }
 
 struct ComposedCompiledTable;
 
 struct BatchConfig {
-  // A TableAlgorithm or a supported composed counter (see batch_supported).
+  // A TableAlgorithm, or a BoostedCounter / PullingBoostedCounter tower over
+  // a trivial or table base (see ComposedCompiledTable::compile).
   counting::AlgorithmPtr algo;
 
   // Optional: the pre-compiled hierarchy of `algo` (must have been produced
@@ -82,24 +73,10 @@ struct BatchConfig {
   std::function<std::unique_ptr<Adversary>()> adversary;
 
   std::vector<std::uint64_t> seeds;  // one execution lane per seed
-  BatchKernel kernel = BatchKernel::kAuto;
-
-  // Plane words per block on the TableAlgorithm path: 0 = auto
-  // (default_batch_words), else 1, 2, 4 or 8. Tail blocks shrink to the
-  // smallest width covering the remaining seeds. The composed path ignores
-  // this (its blocks are single-word); any other value throws.
-  int words = 0;
 };
 
-// True iff run_batch supports `algo`: a TableAlgorithm, or a
-// BoostedCounter / PullingBoostedCounter tower over a trivial or table base.
-// A convenience probe for external callers; the engine evaluates the same
-// predicate inline (engine.cpp) so it can keep the compiled hierarchy it
-// shares across chunk tasks instead of compiling twice.
-bool batch_supported(const counting::AlgorithmPtr& algo);
-
-// Runs seeds.size() executions (internally in blocks of up to 64 * words
-// lanes) and returns their RunResults in seed order; result[i] is
+// Runs seeds.size() executions (internally in blocks of 512 lanes for tables,
+// 64 for towers) and returns their RunResults in seed order; result[i] is
 // bit-identical to run_execution with seed seeds[i] and the same margin.
 std::vector<RunResult> run_batch(const BatchConfig& cfg);
 

@@ -9,8 +9,7 @@
 #include "counting/trivial.hpp"
 #include "phaseking/phase_king.hpp"
 #include "pulling/pulling_counter.hpp"
-#include "sim/checker.hpp"
-#include "sim/faults.hpp"
+#include "sim/lanes.hpp"
 #include "util/check.hpp"
 
 namespace synccount::sim {
@@ -126,17 +125,15 @@ namespace {
 //    once per round, yielding a handful of receiver profiles plus a
 //    lane-invariant receiver-to-profile map. The round then splits into two
 //    passes: pass 1 does the per-lane summary / adversary work and decomposes
-//    the forged profiles, an optional cross-lane bit-sliced base transition
-//    runs in between (table bases with num_states <= 4 keep a second,
-//    bitplane copy of the base field, so one DFS over the compiled table
-//    advances all 64 lanes), and pass 2 applies each receiver's profile to
-//    the received view and runs the vote / phase-king glue, with votes cached
-//    per (level copy, profile) -- copies without faulty senders collapse to
-//    one profile-independent entry. Valid whenever hoisting every adversary
-//    query before the transitions preserves the lane's rng draw sequence:
-//    always for faultless lanes and receiver-oblivious adversaries (the
-//    scalar runner hoists those itself), and otherwise when the adversary's
-//    message() is draw-free or the tower has no fresh-sampling pulling level.
+//    the forged profiles, and pass 2 applies each receiver's profile to the
+//    received view and runs the base kernel and the vote / phase-king glue,
+//    with votes cached per (level copy, profile) -- copies without faulty
+//    senders collapse to one profile-independent entry. Valid whenever
+//    hoisting every adversary query before the transitions preserves the
+//    lane's rng draw sequence: always for faultless lanes and
+//    receiver-oblivious adversaries (the scalar runner hoists those itself),
+//    and otherwise when the adversary's message() is draw-free or the tower
+//    has no fresh-sampling pulling level.
 //  * Interleaved (the remaining case: a receiver-dependent, drawing adversary
 //    under a fresh-sampling pulling tower). Forging and transitions alternate
 //    per receiver exactly like the scalar loop, with votes memoized per
@@ -145,21 +142,15 @@ class ComposedBlock {
  public:
   ComposedBlock(const BatchConfig& cfg, const ComposedCompiledTable& cc,
                 std::span<const std::uint64_t> seeds)
-      : cfg_(cfg), cc_(cc), algo_(*cfg.algo), N_(cc.N), L_(cc.levels.size()), W_(seeds.size()) {
+      : cfg_(cfg),
+        cc_(cc),
+        algo_(*cfg.algo),
+        N_(cc.N),
+        L_(cc.levels.size()),
+        W_(seeds.size()),
+        lanes_(cfg, algo_, seeds) {
     const auto nn = static_cast<std::size_t>(N_);
-
-    std::vector<bool> faulty = cfg.faulty;
-    if (faulty.empty()) faulty.assign(nn, false);
-    SC_CHECK(faulty.size() == nn, "fault vector size mismatch");
-    SC_CHECK(fault_count(faulty) <= algo_.resilience(),
-             "more faults than the algorithm's resilience");
-    faulty_ids_ = fault_ids(faulty);
-    for (int i = 0; i < N_; ++i) {
-      if (!faulty[static_cast<std::size_t>(i)]) correct_.push_back(i);
-    }
-    SC_CHECK(!correct_.empty(), "all nodes faulty");
-
-    margin_ = resolve_margin(cfg.margin, cfg.max_rounds, algo_.modulus());
+    const std::vector<NodeId>& correct = lanes_.correct;
 
     // Master fields and scratch.
     base_.assign(nn * W_, 0);
@@ -187,7 +178,7 @@ class ComposedBlock {
       // fields the copy's votes see that can differ across receivers.
       for (int c = 0; c < lv.copies; ++c) {
         std::vector<NodeId> in_copy;
-        for (const NodeId u : faulty_ids_) {
+        for (const NodeId u : lanes_.faulty_ids) {
           if (u >= c * lv.n && u < (c + 1) * lv.n) in_copy.push_back(u);
         }
         copy_faulty_.push_back(std::move(in_copy));
@@ -203,129 +194,59 @@ class ComposedBlock {
     sample_.assign(static_cast<std::size_t>(max_k) * mm, 0);
     mvals_.assign(mm, 0);
     sampled_a_.assign(mm, 0);
-    outs_.assign(correct_.size(), 0);
+    outs_.assign(correct.size(), 0);
 
-    // Lane setup mirrors the scalar runner's preamble draw for draw.
-    rngs_.reserve(W_);
-    advs_.reserve(W_);
-    checkers_.reserve(W_);
-    lanes_.resize(W_);
     for (std::size_t l = 0; l < W_; ++l) {
-      rngs_.emplace_back(seeds[l]);
-      advs_.push_back(cfg.adversary());
-      SC_CHECK(advs_.back() != nullptr, "batch adversary factory returned null");
-      checkers_.emplace_back(algo_.modulus());
-      LaneCold& ln = lanes_[l];
-      ln.result.correct_ids = correct_;
-      ln.states.resize(nn);
-      if (!cfg.initial.empty()) {
-        SC_CHECK(cfg.initial.size() == nn, "initial state vector size mismatch");
-        for (std::size_t i = 0; i < nn; ++i) ln.states[i] = algo_.canonicalize(cfg.initial[i]);
-      } else {
-        for (auto& s : ln.states) s = counting::arbitrary_state(algo_, rngs_[l]);
-      }
-      for (int i = 0; i < N_; ++i) {
-        decompose(ln.states[static_cast<std::size_t>(i)], l * nn + static_cast<std::size_t>(i),
-                  base_, a_, d_);
-      }
+      const std::vector<State>& states = lanes_.cold[l].states;
+      for (std::size_t i = 0; i < nn; ++i) decompose(states[i], l * nn + i, base_, a_, d_);
       active_ |= 1ULL << l;
     }
-    faultless_ = faulty_ids_.empty();
     bool tower_draws = false;
     for (const ComposedLevel& lv : cc_.levels) {
       if (lv.kind == ComposedLevel::Kind::kPulling && !lv.fixed_sampling) tower_draws = true;
     }
-    const Adversary& probe = *advs_.front();
-    state_oblivious_ = probe.state_oblivious();
-    passive_rounds_ = probe.begin_round_passive();
-    interleaved_ = !faultless_ && !probe.receiver_oblivious() && !probe.message_draw_free() &&
-                   tower_draws;
-    static_forge_ = !faultless_ && probe.receiver_oblivious() && probe.forgery_static();
+    const Adversary& probe = lanes_.probe();
+    interleaved_ = !lanes_.faultless && !probe.receiver_oblivious() &&
+                   !probe.message_draw_free() && tower_draws;
     // Transitions draw iff the tower has a fresh-sampling pulling level, so
     // without one the profiled pass may group receivers by profile (one
     // received-view rebuild per profile instead of per receiver) without
     // disturbing any lane's draw sequence.
     reorder_ok_ = !tower_draws;
-    bs_base_ = cc_.base.kind == ComposedBase::Kind::kTable && cc_.base.num_states <= 4 &&
-               !interleaved_;
 
     // Profile state starts in the 1-profile shape shared by faultless lanes
     // and receiver-oblivious adversaries; set_profiles regrows on demand.
     prof_node_.assign(nn, 0);
-    order_ = correct_;
+    order_ = correct;
     frs_.resize(W_);
     resize_profiles(1);
-    if (bs_base_) {
-      pb_.assign(nn, {});
-      npb_.assign(nn, {});
-      eqcb_.assign(nn, {});
-      eqpb_.assign(static_cast<std::size_t>(cc_.base.n), nullptr);
-      bsender_kind_.assign(nn, -1);
-      for (std::size_t k = 0; k < faulty_ids_.size(); ++k) {
-        bsender_kind_[static_cast<std::size_t>(faulty_ids_[k])] = static_cast<int>(k);
-      }
-      for (std::size_t l = 0; l < W_; ++l) {
-        for (std::size_t i = 0; i < nn; ++i) {
-          set_planes(pb_[i], l, static_cast<std::uint8_t>(base_[l * nn + i]));
-        }
-      }
-    }
   }
 
-  void run() {
+  std::vector<RunResult> run() {
     const bool recording = cfg_.record_outputs || cfg_.record_states;
     for (std::uint64_t round = 0; round < cfg_.max_rounds && active_ != 0; ++round) {
-      const bool will_forge = !faultless_ && !(static_forge_ && static_forged_);
+      const bool will_forge = lanes_.will_forge();
       if (interleaved_) {
         round_interleaved(round, recording);
       } else {
         round_profiled(round, recording, will_forge);
       }
-      if (will_forge && static_forge_) static_forged_ = true;
+      if (will_forge) lanes_.static_forged = lanes_.static_forge;
     }
-
-    for (std::size_t l = 0; l < W_; ++l) {
-      RunResult& r = lanes_[l].result;
-      const StabilisationChecker& ck = checkers_[l];
-      r.rounds = ck.rounds();
-      r.stabilisation_round = ck.suffix_start();
-      r.suffix_length = ck.suffix_length();
-      r.max_window = ck.max_window();
-      r.stabilised = r.suffix_length >= std::min<std::uint64_t>(margin_, r.rounds);
-      if (lanes_[l].pull_samples > 0) {
-        r.avg_pulls_per_round = static_cast<double>(lanes_[l].total_pulls) /
-                                static_cast<double>(lanes_[l].pull_samples);
-      }
-    }
-  }
-
-  std::vector<RunResult> take_results() {
-    std::vector<RunResult> out;
-    out.reserve(W_);
-    for (auto& ln : lanes_) out.push_back(std::move(ln.result));
-    return out;
+    return lanes_.finish();
   }
 
  private:
-  struct LaneCold {
-    RunResult result;
-    // Materialised BitVec states for adversary queries and recording; faulty
-    // entries are fixed for the whole run, correct entries are refreshed
-    // from the field representation on demand.
-    std::vector<State> states;
-    std::uint64_t total_pulls = 0;
-    std::uint64_t pull_samples = 0;
-  };
-
   // --- Round summary: outputs + agreement (from the master fields) ----------
   // Returns false if the lane early-exited (stop_after_stable reached).
   bool observe_lane(std::size_t l, bool recording) {
+    const std::vector<NodeId>& correct = lanes_.correct;
     const std::vector<std::uint64_t>& top_a = a_[L_ - 1];
     const std::size_t lane_off = l * static_cast<std::size_t>(N_);
     bool agreed = true;
     std::uint64_t first = 0;
-    for (std::size_t j = 0; j < correct_.size(); ++j) {
-      const std::uint64_t a = top_a[lane_off + static_cast<std::size_t>(correct_[j])];
+    for (std::size_t j = 0; j < correct.size(); ++j) {
+      const std::uint64_t a = top_a[lane_off + static_cast<std::size_t>(correct[j])];
       outs_[j] = a == kInfinity ? 0 : a;
       if (j == 0) {
         first = outs_[0];
@@ -333,9 +254,9 @@ class ComposedBlock {
         agreed = false;
       }
     }
-    checkers_[l].observe_summary(agreed, first);
+    const bool stop = lanes_.observe(l, agreed, first);
     if (recording) record_lane(l);
-    if (cfg_.stop_after_stable > 0 && checkers_[l].suffix_length() >= cfg_.stop_after_stable) {
+    if (stop) {
       active_ &= ~(1ULL << l);
       return false;
     }
@@ -348,45 +269,34 @@ class ComposedBlock {
     // Pass 1: per-lane summary + adversary work. Lane-internal call order
     // matches the scalar runner exactly (forge_block runs begin_round before
     // its message queries).
-    bool profiles_set = false;
-    [[maybe_unused]] std::size_t first_lane = 0;
+    const ForgedRound* first = nullptr;
     for (std::uint64_t msk = active_; msk; msk &= msk - 1) {
       const auto l = static_cast<std::size_t>(std::countr_zero(msk));
       if (!observe_lane(l, recording)) continue;
       if (will_forge) {
-        if (!state_oblivious_) refresh_states(l);
+        if (!lanes_.state_oblivious) refresh_states(l);
         ForgedRound& fr = frs_[l];
-        advs_[l]->forge_block(round, lanes_[l].states, algo_, faulty_ids_, correct_, rngs_[l],
-                              fr);
-        if (!profiles_set) {
+        lanes_.forge_block(l, round, algo_, fr);
+        if (first == nullptr) {
+          first = &fr;
           set_profiles(fr);
-          profiles_set = true;
-          first_lane = l;
-        } else {
-          // The profile geometry must be a pure function of (round, faults,
-          // n) -- lane-invariant by the forge_block contract.
-          SC_ASSERT(fr.num_profiles == nprof_);
-          SC_ASSERT(fr.profile_of == frs_[first_lane].profile_of);
         }
+        lanes_.check_lane(fr, *first);
         decompose_lane_profiles(l);
-      } else if (!passive_rounds_) {
-        if (!state_oblivious_) refresh_states(l);
-        advs_[l]->begin_round(round, lanes_[l].states, algo_, faulty_ids_, rngs_[l]);
+      } else if (!lanes_.passive_rounds) {
+        if (!lanes_.state_oblivious) refresh_states(l);
+        lanes_.begin_round(l, round, algo_);
       }
     }
     if (active_ == 0) return;
-
-    // Cross-lane base transition: one DFS over the compiled base table per
-    // correct node advances every lane's base field at once.
-    if (bs_base_) base_transition_bit_sliced();
 
     // Pass 2: received views, votes, phase-king glue, commit.
     for (std::uint64_t msk = active_; msk; msk &= msk - 1) {
       const auto l = static_cast<std::size_t>(std::countr_zero(msk));
       load_received(l);
       std::fill(vote_valid_.begin(), vote_valid_.end(), 0);
-      if (faultless_) {
-        for (const NodeId v : correct_) transition_node(l, v, 0, /*memo=*/false);
+      if (lanes_.faultless) {
+        for (const NodeId v : lanes_.correct) transition_node(l, v, 0, /*memo=*/false);
       } else {
         int cur = -1;
         for (const NodeId v : order_) {
@@ -400,7 +310,6 @@ class ComposedBlock {
       }
       commit(l);
     }
-    if (bs_base_) commit_planes();
   }
 
   // --- Interleaved rounds (receiver-dependent drawing adversary over a
@@ -410,16 +319,15 @@ class ComposedBlock {
     for (std::uint64_t msk = active_; msk; msk &= msk - 1) {
       const auto l = static_cast<std::size_t>(std::countr_zero(msk));
       if (!observe_lane(l, recording)) continue;
-      if (!state_oblivious_) refresh_states(l);
-      if (!passive_rounds_) {
-        advs_[l]->begin_round(round, lanes_[l].states, algo_, faulty_ids_, rngs_[l]);
+      if (!lanes_.state_oblivious) refresh_states(l);
+      if (!lanes_.passive_rounds) {
+        lanes_.begin_round(l, round, algo_);
       }
       load_received(l);
       std::fill(vote_memo_used_.begin(), vote_memo_used_.end(), 0);
-      for (const NodeId v : correct_) {
-        for (std::size_t k = 0; k < faulty_ids_.size(); ++k) {
-          forge_into(l, round, faulty_ids_[k], v, static_cast<std::size_t>(faulty_ids_[k]),
-                     rv_base_, rv_a_, rv_d_);
+      for (const NodeId v : lanes_.correct) {
+        for (const NodeId u : lanes_.faulty_ids) {
+          forge_into(l, round, u, v, static_cast<std::size_t>(u), rv_base_, rv_a_, rv_d_);
         }
         transition_node(l, v, 0, /*memo=*/true);
       }
@@ -458,12 +366,12 @@ class ComposedBlock {
   }
 
   void refresh_states(std::size_t lane) {
-    LaneCold& ln = lanes_[lane];
-    for (const NodeId i : correct_) ln.states[static_cast<std::size_t>(i)] = encode(lane, i);
+    std::vector<State>& states = lanes_.cold[lane].states;
+    for (const NodeId i : lanes_.correct) states[static_cast<std::size_t>(i)] = encode(lane, i);
   }
 
   void record_lane(std::size_t lane) {
-    LaneCold& ln = lanes_[lane];
+    detail::Lanes::Cold& ln = lanes_.cold[lane];
     if (cfg_.record_outputs) {
       ln.result.outputs.emplace_back(outs_.begin(), outs_.end());
     }
@@ -480,73 +388,61 @@ class ComposedBlock {
   // live at [lane * S_ + slot] so one lane's profiles stay contiguous.
   void resize_profiles(int nprof) {
     nprof_ = nprof;
-    S_ = static_cast<std::size_t>(nprof_) * faulty_ids_.size();
+    S_ = static_cast<std::size_t>(nprof_) * lanes_.faulty_ids.size();
     pf_base_.assign(S_ * W_, 0);
     pf_a_.assign(L_, std::vector<std::uint64_t>(S_ * W_, 0));
     pf_d_.assign(L_, std::vector<std::uint8_t>(S_ * W_, 0));
     vote_B_.assign(total_copies_ * static_cast<std::size_t>(nprof_), 0);
     vote_R_.assign(total_copies_ * static_cast<std::size_t>(nprof_), 0);
     vote_valid_.assign(total_copies_ * static_cast<std::size_t>(nprof_), 0);
-    if (bs_base_) {
-      fpb_.assign(S_, {});
-      eqfb_.assign(S_, {});
-    }
   }
 
   // Establishes this round's profile geometry from the first forging lane:
   // the profile count, the receiver-to-profile map, and (when reordering is
   // draw-safe) the profile-grouped receiver order.
   void set_profiles(const ForgedRound& fr) {
-    SC_REQUIRE(fr.num_profiles >= 1, "forge_block produced no profiles");
+    lanes_.check_profiles(fr);
     if (fr.num_profiles != nprof_) resize_profiles(fr.num_profiles);
     if (fr.profile_of.empty()) {
       std::fill(prof_node_.begin(), prof_node_.end(), std::uint16_t{0});
     } else {
-      SC_REQUIRE(fr.profile_of.size() == prof_node_.size(),
-                 "forge_block profile map has wrong size");
       std::copy(fr.profile_of.begin(), fr.profile_of.end(), prof_node_.begin());
     }
+    const std::vector<NodeId>& correct = lanes_.correct;
     if (reorder_ok_ && nprof_ > 1) {
       // Counting sort of the correct receivers by profile: transitions are
       // draw-free here, so grouping rebuilds the received view once per
       // profile without changing any per-node result.
       count_scratch_.assign(static_cast<std::size_t>(nprof_) + 1, 0);
-      for (const NodeId v : correct_) {
-        const std::uint16_t p = prof_node_[static_cast<std::size_t>(v)];
-        SC_ASSERT(p < nprof_);
-        ++count_scratch_[static_cast<std::size_t>(p) + 1];
+      for (const NodeId v : correct) {
+        ++count_scratch_[static_cast<std::size_t>(prof_node_[static_cast<std::size_t>(v)]) + 1];
       }
       for (std::size_t p = 1; p < count_scratch_.size(); ++p) {
         count_scratch_[p] += count_scratch_[p - 1];
       }
-      for (const NodeId v : correct_) {
+      for (const NodeId v : correct) {
         order_[count_scratch_[prof_node_[static_cast<std::size_t>(v)]]++] = v;
       }
     } else {
-      std::copy(correct_.begin(), correct_.end(), order_.begin());
+      std::copy(correct.begin(), correct.end(), order_.begin());
     }
   }
 
-  // Decomposes lane `lane`'s forged states into its profile field slots and,
-  // on the bit-sliced base path, scatters the base indices into the forged
-  // bitplanes. Persists across rounds, so static forgers pay this once.
+  // Decomposes lane `lane`'s forged states into its profile field slots.
+  // Persists across rounds, so static forgers pay this once.
   void decompose_lane_profiles(std::size_t lane) {
     const ForgedRound& fr = frs_[lane];
-    SC_ASSERT(fr.states.size() == S_);
     for (std::size_t s = 0; s < S_; ++s) {
-      const std::size_t idx = lane * S_ + s;
-      decompose(fr.states[s], idx, pf_base_, pf_a_, pf_d_);
-      if (bs_base_) {
-        set_planes(fpb_[s], lane, static_cast<std::uint8_t>(pf_base_[idx]));
-      }
+      decompose(fr.states[s], lane * S_ + s, pf_base_, pf_a_, pf_d_);
     }
   }
 
   // Overwrites the received view's faulty entries with profile `pv`'s fields.
   void apply_profile(std::size_t lane, int pv) {
-    const std::size_t off = lane * S_ + static_cast<std::size_t>(pv) * faulty_ids_.size();
-    for (std::size_t k = 0; k < faulty_ids_.size(); ++k) {
-      const auto dst = static_cast<std::size_t>(faulty_ids_[k]);
+    const std::vector<NodeId>& faulty_ids = lanes_.faulty_ids;
+    const std::size_t off = lane * S_ + static_cast<std::size_t>(pv) * faulty_ids.size();
+    for (std::size_t k = 0; k < faulty_ids.size(); ++k) {
+      const auto dst = static_cast<std::size_t>(faulty_ids[k]);
       rv_base_[dst] = pf_base_[off + k];
       for (std::size_t lvl = 0; lvl < L_; ++lvl) {
         rv_a_[lvl][dst] = pf_a_[lvl][off + k];
@@ -563,8 +459,7 @@ class ComposedBlock {
                   std::size_t idx, std::vector<std::uint64_t>& base,
                   std::vector<std::vector<std::uint64_t>>& a,
                   std::vector<std::vector<std::uint8_t>>& d) {
-    const State raw = advs_[lane]->message(round, sender, receiver, lanes_[lane].states,
-                                           algo_, rngs_[lane]);
+    const State raw = lanes_.message(lane, round, sender, receiver, algo_);
     decompose(raw, idx, base, a, d);
   }
 
@@ -578,7 +473,7 @@ class ComposedBlock {
   void load_received(std::size_t lane) {
     const auto nn = static_cast<std::size_t>(N_);
     const std::size_t off = lane * nn;
-    if (faultless_) {
+    if (lanes_.faultless) {
       rp_base_ = base_.data() + off;
       for (std::size_t lvl = 0; lvl < L_; ++lvl) {
         rp_a_[lvl] = a_[lvl].data() + off;
@@ -595,76 +490,6 @@ class ComposedBlock {
     for (std::size_t lvl = 0; lvl < L_; ++lvl) {
       rp_a_[lvl] = rv_a_[lvl].data();
       rp_d_[lvl] = rv_d_[lvl].data();
-    }
-  }
-
-  // --- Bit-sliced base ------------------------------------------------------
-
-  // Scatter a 2-bit state index into the lane's slot of a bitplane pair.
-  static void set_planes(std::array<std::uint64_t, 2>& p, std::size_t lane,
-                         std::uint8_t v) noexcept {
-    p[0] = (p[0] & ~(1ULL << lane)) | (static_cast<std::uint64_t>(v & 1) << lane);
-    p[1] = (p[1] & ~(1ULL << lane)) | (static_cast<std::uint64_t>((v >> 1) & 1) << lane);
-  }
-
-  // eq[c] = mask of lanes whose 2-bit plane value equals c.
-  static std::array<std::uint64_t, 4> eq_masks(const std::array<std::uint64_t, 2>& p) noexcept {
-    return {~p[0] & ~p[1], p[0] & ~p[1], ~p[0] & p[1], p[0] & p[1]};
-  }
-
-  // Advances every active lane's base field in one cross-lane pass: equality
-  // bitplanes per sender (master planes for correct senders, forged planes
-  // per (profile, sender) otherwise), then per correct node a depth-first
-  // enumeration of the live part of its base copy's index space -- a branch
-  // dies as soon as no active lane matches its value prefix, so after
-  // stabilisation a pass costs O(base.n) words per node.
-  void base_transition_bit_sliced() {
-    const counting::CompiledTable& t = *cc_.base.table;
-    const int n0 = cc_.base.n;
-    const std::uint64_t ns = cc_.base.num_states;
-    const std::size_t nf = faulty_ids_.size();
-    for (std::size_t u = 0; u < static_cast<std::size_t>(N_); ++u) {
-      eqcb_[u] = eq_masks(pb_[u]);
-    }
-    for (std::size_t s = 0; s < S_; ++s) eqfb_[s] = eq_masks(fpb_[s]);
-    for (const NodeId v : correct_) {
-      const int v_local = v % n0;
-      const int first = (v / n0) * n0;
-      const std::uint64_t* st = t.stride.data() + static_cast<std::size_t>(v_local) * n0;
-      const std::size_t pbase =
-          (nprof_ == 1 ? 0 : static_cast<std::size_t>(prof_node_[static_cast<std::size_t>(v)])) *
-          nf;
-      for (int s = 0; s < n0; ++s) {
-        const int k = bsender_kind_[static_cast<std::size_t>(first + s)];
-        eqpb_[static_cast<std::size_t>(s)] =
-            k < 0 ? &eqcb_[static_cast<std::size_t>(first + s)]
-                  : &eqfb_[pbase + static_cast<std::size_t>(k)];
-      }
-      std::uint64_t np0 = 0;
-      std::uint64_t np1 = 0;
-      const auto dfs = [&](auto&& self, int s, std::uint64_t mask, std::uint64_t off) -> void {
-        if (s == n0) {
-          const std::uint8_t nx = t.g[off];
-          if (nx & 1) np0 |= mask;
-          if (nx & 2) np1 |= mask;
-          return;
-        }
-        const auto& e = *eqpb_[static_cast<std::size_t>(s)];
-        for (std::uint64_t c = 0; c < ns; ++c) {
-          const std::uint64_t sub = mask & e[c];
-          if (sub != 0) self(self, s + 1, sub, off + st[s] * c);
-        }
-      };
-      dfs(dfs, 0, active_, t.node_base[static_cast<std::size_t>(v_local)]);
-      npb_[static_cast<std::size_t>(v)] = {np0, np1};
-    }
-  }
-
-  void commit_planes() {
-    for (const NodeId v : correct_) {
-      const auto vv = static_cast<std::size_t>(v);
-      pb_[vv][0] = (pb_[vv][0] & ~active_) | (npb_[vv][0] & active_);
-      pb_[vv][1] = (pb_[vv][1] & ~active_) | (npb_[vv][1] & active_);
     }
   }
 
@@ -800,7 +625,7 @@ class ComposedBlock {
     const auto m = static_cast<std::uint64_t>(lv.m);
 
     util::Rng fixed_rng(util::hash_combine(lv.sampling_seed, static_cast<std::uint64_t>(v_local)));
-    util::Rng& rng = lv.fixed_sampling ? fixed_rng : rngs_[lane];
+    util::Rng& rng = lv.fixed_sampling ? fixed_rng : lanes_.rngs[lane];
 
     pulled += static_cast<std::uint64_t>(lv.n_inner);  // the own-block pull (step 1)
 
@@ -856,13 +681,10 @@ class ComposedBlock {
   }
 
   void transition_node(std::size_t lane, NodeId v, int pv, bool memo) {
-    // Base kernel (step 1 of the construction, recursed to the bottom). On
-    // the bit-sliced path the cross-lane pass already produced every lane's
-    // next base index; extract this lane's bit pair.
+    // Base kernel (step 1 of the construction, recursed to the bottom): the
+    // trivial increment, or one lookup in the shared compiled base table.
     const auto vv = static_cast<std::size_t>(v);
-    if (bs_base_) {
-      nb_base_[vv] = ((npb_[vv][0] >> lane) & 1) | (((npb_[vv][1] >> lane) & 1) << 1);
-    } else if (cc_.base.kind == ComposedBase::Kind::kTrivial) {
+    if (cc_.base.kind == ComposedBase::Kind::kTrivial) {
       nb_base_[vv] = (rp_base_[vv] + 1) % cc_.base.num_states;
     } else {
       const int n0 = cc_.base.n;
@@ -884,7 +706,7 @@ class ComposedBlock {
         pulling_step(lane, lvl, v, pulled);
       }
     }
-    LaneCold& ln = lanes_[lane];
+    detail::Lanes::Cold& ln = lanes_.cold[lane];
     ln.total_pulls += pulled;
     ++ln.pull_samples;
     ln.result.max_pulls_per_round = std::max(ln.result.max_pulls_per_round, pulled);
@@ -892,7 +714,7 @@ class ComposedBlock {
 
   void commit(std::size_t lane) {
     const std::size_t off = lane * static_cast<std::size_t>(N_);
-    for (const NodeId v : correct_) {
+    for (const NodeId v : lanes_.correct) {
       const auto vv = static_cast<std::size_t>(v);
       base_[off + vv] = nb_base_[vv];
       for (std::size_t lvl = 0; lvl < L_; ++lvl) {
@@ -909,24 +731,10 @@ class ComposedBlock {
   const std::size_t L_;  // number of boosting levels
   const std::size_t W_;
 
-  std::vector<NodeId> correct_;
-  std::vector<NodeId> faulty_ids_;
-  bool faultless_ = true;
-  bool state_oblivious_ = false;
-  bool passive_rounds_ = false;
+  detail::Lanes lanes_;
   bool interleaved_ = false;
   bool reorder_ok_ = false;
-  bool bs_base_ = false;
-  bool static_forge_ = false;
-  bool static_forged_ = false;
-  std::uint64_t margin_ = 0;
   std::uint64_t active_ = 0;  // bitmask of lanes still running
-
-  // Hot per-lane state, parallel arrays indexed by lane.
-  std::vector<util::Rng> rngs_;
-  std::vector<std::unique_ptr<Adversary>> advs_;
-  std::vector<StabilisationChecker> checkers_;
-  std::vector<LaneCold> lanes_;
 
   // Master field representation, [lane * N + node].
   std::vector<std::uint64_t> base_;
@@ -981,15 +789,6 @@ class ComposedBlock {
   std::vector<std::size_t> vote_memo_used_;
   std::vector<std::uint64_t> key_scratch_;
 
-  // Bit-sliced base planes (bs_base_ only): pb_ mirrors base_ as per-node
-  // {bit0, bit1} lane bitplanes (committed in lockstep with the master),
-  // npb_ the next-round planes, fpb_ the forged planes per profile slot, and
-  // eqcb_/eqfb_/eqpb_ the per-round equality planes and per-sender view.
-  std::vector<std::array<std::uint64_t, 2>> pb_, npb_, fpb_;
-  std::vector<std::array<std::uint64_t, 4>> eqcb_, eqfb_;
-  std::vector<const std::array<std::uint64_t, 4>*> eqpb_;
-  std::vector<int> bsender_kind_;  // [node] -> -1 correct, else faulty index k
-
   // Vote / sampling scratch.
   std::vector<std::uint64_t> b_all_, r_all_, leader_, mvals_, sampled_a_, outs_;
   std::vector<std::uint32_t> sample_;
@@ -1001,18 +800,13 @@ class ComposedBlock {
 
 std::vector<RunResult> run_composed_batch(const BatchConfig& cfg,
                                           const ComposedCompiledTable& cc) {
-  SC_CHECK(cfg.kernel == BatchKernel::kAuto,
-           "composed (boosted/pulling) algorithms run a single fixed kernel; "
-           "BatchConfig::kernel must be kAuto");
   std::vector<RunResult> results;
   results.reserve(cfg.seeds.size());
   for (std::size_t start = 0; start < cfg.seeds.size(); start += kLanesPerWord) {
     const std::size_t count = std::min(kLanesPerWord, cfg.seeds.size() - start);
     ComposedBlock block(cfg, cc,
                         std::span<const std::uint64_t>(cfg.seeds).subspan(start, count));
-    block.run();
-    auto part = block.take_results();
-    for (auto& r : part) results.push_back(std::move(r));
+    for (auto& r : block.run()) results.push_back(std::move(r));
   }
   return results;
 }

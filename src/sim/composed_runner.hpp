@@ -21,20 +21,16 @@
 //    level copy (receiver-oblivious adversaries) or once per (profile,
 //    copy) with memoisation keyed on the forged field tuple the votes
 //    read, and the shared phaseking::step / step_sampled glue runs per
-//    node -- zero per-round heap allocation. When the base is a
-//    num_states <= 4 table, its kernel additionally runs on the flat
-//    path's bit-sliced planes: one cross-lane DFS over the compiled base
-//    table advances every lane's base field at once.
+//    node -- zero per-round heap allocation. A table base is stepped per
+//    lane and node through the shared CompiledTable::next.
 //
 //  * Interleaved (fresh-sampling pulling towers under adversaries whose
 //    message() draws randomness): forging stays interleaved with the
 //    per-receiver transitions, preserving the scalar draw order exactly.
 //
-// Per-lane Rng and Adversary instances are invoked in exactly the scalar
-// runner's call order in both modes, so every lane's RunResult is
-// bit-identical to run_execution on the same seed. The composed path has a
-// single kernel: BatchConfig::kernel must be kAuto (kSoA / kBitSliced
-// throw std::invalid_argument).
+// Per-lane Rng and Adversary instances (the lane harness, sim/lanes.hpp) are
+// invoked in exactly the scalar runner's call order in both modes, so every
+// lane's RunResult is bit-identical to run_execution on the same seed.
 #pragma once
 
 #include <cstdint>

@@ -300,10 +300,9 @@ ExperimentResult Engine::run(const ExperimentSpec& spec, const ShardPlan& shard,
 
   for (Sink* sink : sinks) sink->on_start(spec, shard);
 
-  // Lanes per batch task: table groups fill one full-width multi-word block
+  // Lanes per batch task: table groups fill one 512-lane block
   // (64 * default_batch_words() lanes per table pass); composed blocks are
-  // single-word. Chunking at the block size keeps one task == one block, so
-  // widening the planes does not shrink the per-task work below it.
+  // 64 lanes. Chunking at the block size keeps one task == one block.
   const std::size_t chunk =
       is_table ? 64 * static_cast<std::size_t>(default_batch_words()) : 64;
   std::vector<std::function<void()>> tasks;

@@ -15,8 +15,8 @@
 // group whose algorithm is shared and batch-supported -- a TableAlgorithm
 // (bit-parallel path) or a BoostedCounter / PullingBoostedCounter tower
 // (composed path, sim/composed_runner.hpp) -- and whose adversary is
-// batchable runs through run_batch in lockstep chunks of up to 64 seeds;
-// every other cell (unknown compositions, per-cell factories, search
+// batchable runs through run_batch in lockstep chunks of up to 512 seeds
+// (tables) or 64 seeds (towers); every other cell (unknown compositions, per-cell factories, search
 // adversaries like lookahead) stays on the scalar runner. All backends
 // produce bit-identical RunResults, so mixing them never changes an
 // aggregate.

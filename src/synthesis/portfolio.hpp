@@ -1,5 +1,5 @@
 // The parallel synthesis engine: portfolio CDCL + cube-and-conquer + an
-// empirical 64-lane prefilter, with a hard determinism contract.
+// empirical 64-seed prefilter, with a hard determinism contract.
 //
 // Layering (synthesize_portfolio):
 //   * The admissible-time sweep R = min_time..max_time stays sequential,
@@ -20,7 +20,7 @@
 //     outcome -- verdict, winning cube, decoded table -- is bit-identical
 //     across thread counts and across local-pool vs serve-worker execution.
 //   * Decoded candidates pass a cheap empirical screen (sim::run_batch,
-//     64-lane backend, random + split adversaries over a fixed seed list)
+//     64 seeds, random + split adversaries over a fixed seed list)
 //     before the exponential game-tree verifier; an empirically falsified
 //     candidate is refuted back into the search as a blocking clause
 //     (counterexample-guided refinement). The encoding is exact, so this is

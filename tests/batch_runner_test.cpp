@@ -1,12 +1,14 @@
 // Tests for the bit-parallel batched execution backend: every lane of
 // run_batch must be bit-identical to run_execution on the same seed -- across
-// tables (cyclic / uniform / per-node / wide), kernels (bit-sliced / SoA),
-// adversaries, fault placements, batch widths and early-exit patterns -- and
-// the engine's batched dispatch must leave aggregates bit-identical to the
-// forced-scalar backend for any thread count.
+// tables (cyclic / uniform / per-node / wide, so both the bit-sliced and the
+// SoA kernel), adversaries, fault placements, batch widths and early-exit
+// patterns -- and the engine's batched dispatch must leave aggregates
+// bit-identical to the forced-scalar backend for any thread count.
 #include <gtest/gtest.h>
 
+#include "boosting/planner.hpp"
 #include "counting/table_algorithm.hpp"
+#include "sim/adversaries.hpp"
 #include "sim/batch_runner.hpp"
 #include "sim/engine.hpp"
 #include "sim/faults.hpp"
@@ -28,21 +30,26 @@ TablePtr table4() {
 
 // A per-node table (the symmetry branch the known tables don't cover).
 // Behaviour is arbitrary; the tests only compare backends against each other.
-TablePtr per_node_table() {
+TablePtr per_node_table(std::uint64_t num_states) {
   counting::TransitionTable t;
   t.n = 3;
   t.f = 0;
-  t.num_states = 2;
+  t.num_states = num_states;
   t.modulus = 2;
   t.symmetry = counting::Symmetry::kPerNode;
-  t.g.resize(3 * 8);
-  for (std::size_t i = 0; i < t.g.size(); ++i) t.g[i] = static_cast<std::uint8_t>((i * 5 + 1) % 2);
-  t.h = {0, 1, 1, 0, 0, 1};
+  t.g.resize(3 * num_states * num_states * num_states);
+  for (std::size_t i = 0; i < t.g.size(); ++i) {
+    t.g[i] = static_cast<std::uint8_t>((i * 5 + 1) % num_states);
+  }
+  t.h.resize(3 * num_states);
+  for (std::size_t i = 0; i < t.h.size(); ++i) {
+    t.h[i] = static_cast<std::uint8_t>((i + 1) / 2 % 2);
+  }
   t.label = "per-node-test";
   return std::make_shared<counting::TableAlgorithm>(std::move(t));
 }
 
-// num_states > 4: exercises the SoA kernel under kAuto.
+// num_states > 4: runs on the SoA kernel.
 TablePtr wide_table() {
   counting::TransitionTable t;
   t.n = 3;
@@ -54,6 +61,24 @@ TablePtr wide_table() {
   for (std::size_t i = 0; i < t.g.size(); ++i) t.g[i] = static_cast<std::uint8_t>((i * 7 + 3) % 5);
   t.h = {0, 1, 0, 1, 1};
   t.label = "wide-test";
+  return std::make_shared<counting::TableAlgorithm>(std::move(t));
+}
+
+// An n = 4, f = 1 table with 5 states: the SoA kernel under a Byzantine
+// fault. Behaviour is arbitrary, as above.
+TablePtr table5() {
+  counting::TransitionTable t;
+  t.n = 4;
+  t.f = 1;
+  t.num_states = 5;
+  t.modulus = 3;
+  t.symmetry = counting::Symmetry::kUniform;
+  t.g.resize(625);
+  for (std::size_t i = 0; i < t.g.size(); ++i) {
+    t.g[i] = static_cast<std::uint8_t>((i * 7 + i / 25 + 3) % 5);
+  }
+  t.h = {0, 1, 2, 1, 0};
+  t.label = "5states-test";
   return std::make_shared<counting::TableAlgorithm>(std::move(t));
 }
 
@@ -84,9 +109,7 @@ sim::RunResult scalar_run(const TablePtr& algo, const std::string& adversary,
 
 std::vector<sim::RunResult> batch_run(const TablePtr& algo, const std::string& adversary,
                                       const std::vector<std::uint64_t>& seeds,
-                                      const RunOpts& opt,
-                                      sim::BatchKernel kernel = sim::BatchKernel::kAuto,
-                                      int words = 0) {
+                                      const RunOpts& opt) {
   sim::BatchConfig bc;
   bc.algo = algo;
   bc.faulty = opt.faulty;
@@ -98,8 +121,6 @@ std::vector<sim::RunResult> batch_run(const TablePtr& algo, const std::string& a
   bc.initial = opt.initial;
   bc.adversary = [&adversary] { return sim::make_adversary(adversary); };
   bc.seeds = seeds;
-  bc.kernel = kernel;
-  bc.words = words;
   return sim::run_batch(bc);
 }
 
@@ -118,26 +139,24 @@ void expect_same_run(const sim::RunResult& a, const sim::RunResult& b,
 }
 
 TEST(BatchRunner, MatchesScalarAcrossAdversariesPlacementsAndKernels) {
-  const std::vector<std::pair<std::string, TablePtr>> tables = {{"3states", table3()},
-                                                               {"4states", table4()}};
+  // The 3- and 4-state tables run bit-sliced, the 5-state table SoA.
+  const std::vector<std::pair<std::string, TablePtr>> tables = {
+      {"3states", table3()}, {"4states", table4()}, {"5states", table5()}};
   const std::vector<std::string> adversaries = {"silent", "echo",   "random",
                                                 "split",  "mirror", "targeted-vote"};
   const std::vector<std::uint64_t> seeds = {1, 2, 3, 12345, 0xDEAD};
   for (const auto& [tname, algo] : tables) {
-    for (const auto kernel : {sim::BatchKernel::kBitSliced, sim::BatchKernel::kSoA}) {
-      for (const auto& adv : adversaries) {
-        for (const bool with_fault : {false, true}) {
-          RunOpts opt;
-          if (with_fault) opt.faulty = sim::faults_spread(4, 1);
-          const auto batch = batch_run(algo, adv, seeds, opt, kernel);
-          ASSERT_EQ(batch.size(), seeds.size());
-          for (std::size_t i = 0; i < seeds.size(); ++i) {
-            const auto scalar = scalar_run(algo, adv, seeds[i], opt);
-            expect_same_run(batch[i], scalar,
-                            tname + "/" + adv + (with_fault ? "/f1" : "/f0") + "/seed=" +
-                                std::to_string(seeds[i]) +
-                                (kernel == sim::BatchKernel::kSoA ? "/soa" : "/bitsliced"));
-          }
+    for (const auto& adv : adversaries) {
+      for (const bool with_fault : {false, true}) {
+        RunOpts opt;
+        if (with_fault) opt.faulty = sim::faults_spread(4, 1);
+        const auto batch = batch_run(algo, adv, seeds, opt);
+        ASSERT_EQ(batch.size(), seeds.size());
+        for (std::size_t i = 0; i < seeds.size(); ++i) {
+          const auto scalar = scalar_run(algo, adv, seeds[i], opt);
+          expect_same_run(batch[i], scalar,
+                          tname + "/" + adv + (with_fault ? "/f1" : "/f0") +
+                              "/seed=" + std::to_string(seeds[i]));
         }
       }
     }
@@ -146,7 +165,8 @@ TEST(BatchRunner, MatchesScalarAcrossAdversariesPlacementsAndKernels) {
 
 TEST(BatchRunner, WidthsDoNotChangeResults) {
   // Lanes stabilise (and early-exit) at different rounds within one batch;
-  // widths 1, 7, 64 and 100 cover partial words and multi-block batches.
+  // widths 1, 7, 64 and 100 cover partial and multi-word single blocks
+  // (MultiWordWidthsMatchScalar covers batches of more than one block).
   const auto algo = table3();
   RunOpts opt;
   opt.faulty = sim::faults_spread(4, 1);
@@ -177,48 +197,39 @@ TEST(BatchRunner, WidthsDoNotChangeResults) {
 }
 
 TEST(BatchRunner, MultiWordWidthsMatchScalar) {
-  // Lane counts past one 64-bit word (65, 128, 257, 511) at every plane
-  // width (1/2/4/8 words plus auto): the multi-word kernel and the
-  // lane-batched adversary forging must stay bit-identical to run_execution
-  // regardless of how many executions share a table pass. 511 = 7 words + a
-  // 63-lane tail under words=8's block size; 65 and 257 leave one lane in
-  // the last plane word.
-  const auto algo = table3();
+  // Lane counts past one 64-bit word and past one 512-lane block (65, 128,
+  // 257, 511, 513, 1025) on both kernels: the multi-word planes, the short
+  // final block and the lane-batched adversary forging must stay
+  // bit-identical to run_execution regardless of how many executions share a
+  // table pass. 65, 257 and 513 leave one lane in the last plane word; 128 is
+  // two full words with the rest of the block inactive; 511 ends the block
+  // in a 63-lane partial word; 1025 is two full blocks plus a one-lane tail
+  // block.
   RunOpts opt;
   opt.faulty = sim::faults_spread(4, 1);
   opt.max_rounds = 48;
-  std::vector<std::uint64_t> seeds(511);
+  std::vector<std::uint64_t> seeds(1025);
   for (std::size_t i = 0; i < seeds.size(); ++i) seeds[i] = 0xC000 + i * 13;
 
-  for (const std::string adv : {"split", "random"}) {
-    std::vector<sim::RunResult> reference;
-    reference.reserve(seeds.size());
-    for (const auto s : seeds) reference.push_back(scalar_run(algo, adv, s, opt));
-    for (const std::size_t width : {std::size_t{65}, std::size_t{128}, std::size_t{257},
-                                    std::size_t{511}}) {
-      const std::vector<std::uint64_t> sub(seeds.begin(), seeds.begin() + width);
-      for (const int words : {0, 1, 2, 4, 8}) {
-        const auto batch = batch_run(algo, adv, sub, opt, sim::BatchKernel::kAuto, words);
+  for (const auto& [tname, algo] :
+       std::vector<std::pair<std::string, TablePtr>>{{"3states", table3()},
+                                                     {"5states", table5()}}) {
+    for (const std::string adv : {"split", "random"}) {
+      std::vector<sim::RunResult> reference;
+      reference.reserve(seeds.size());
+      for (const auto s : seeds) reference.push_back(scalar_run(algo, adv, s, opt));
+      for (const std::size_t width : {std::size_t{65}, std::size_t{128}, std::size_t{257},
+                                      std::size_t{511}, std::size_t{513}, std::size_t{1025}}) {
+        const std::vector<std::uint64_t> sub(seeds.begin(), seeds.begin() + width);
+        const auto batch = batch_run(algo, adv, sub, opt);
         ASSERT_EQ(batch.size(), width);
         for (std::size_t i = 0; i < width; ++i) {
           expect_same_run(batch[i], reference[i],
-                          adv + "/width=" + std::to_string(width) +
-                              "/words=" + std::to_string(words) +
+                          tname + "/" + adv + "/width=" + std::to_string(width) +
                               "/seed=" + std::to_string(sub[i]));
         }
       }
     }
-  }
-}
-
-TEST(BatchRunner, WordsValidationRejectsUnsupportedValues) {
-  const auto algo = table3();
-  RunOpts opt;
-  opt.faulty = sim::faults_spread(4, 1);
-  for (const int words : {-1, 3, 5, 16}) {
-    EXPECT_THROW(batch_run(algo, "silent", {1, 2}, opt, sim::BatchKernel::kAuto, words),
-                 std::invalid_argument)
-        << "words=" << words;
   }
 }
 
@@ -240,15 +251,17 @@ TEST(BatchRunner, RecordedTracesMatchScalar) {
 }
 
 TEST(BatchRunner, PerNodeSymmetryMatchesScalar) {
-  const auto algo = per_node_table();
-  RunOpts opt;
-  opt.max_rounds = 80;
-  const std::vector<std::uint64_t> seeds = {11, 22, 33, 44};
-  for (const auto kernel : {sim::BatchKernel::kBitSliced, sim::BatchKernel::kSoA}) {
-    const auto batch = batch_run(algo, "split", seeds, opt, kernel);
+  // 2 states run bit-sliced, 5 states SoA.
+  for (const std::uint64_t num_states : {2, 5}) {
+    const auto algo = per_node_table(num_states);
+    RunOpts opt;
+    opt.max_rounds = 80;
+    const std::vector<std::uint64_t> seeds = {11, 22, 33, 44};
+    const auto batch = batch_run(algo, "split", seeds, opt);
     for (std::size_t i = 0; i < seeds.size(); ++i) {
       expect_same_run(batch[i], scalar_run(algo, "split", seeds[i], opt),
-                      "per-node/seed=" + std::to_string(seeds[i]));
+                      "per-node/|X|=" + std::to_string(num_states) +
+                          "/seed=" + std::to_string(seeds[i]));
     }
   }
 }
@@ -258,13 +271,11 @@ TEST(BatchRunner, WideTableFallsBackToSoA) {
   RunOpts opt;
   opt.max_rounds = 80;
   const std::vector<std::uint64_t> seeds = {9, 10, 11};
-  const auto batch = batch_run(algo, "split", seeds, opt);  // kAuto -> SoA (5 states)
+  const auto batch = batch_run(algo, "split", seeds, opt);  // 5 states: SoA
   for (std::size_t i = 0; i < seeds.size(); ++i) {
     expect_same_run(batch[i], scalar_run(algo, "split", seeds[i], opt),
                     "wide/seed=" + std::to_string(seeds[i]));
   }
-  EXPECT_THROW(batch_run(algo, "split", seeds, opt, sim::BatchKernel::kBitSliced),
-               std::invalid_argument);
 }
 
 TEST(BatchRunner, FixedInitialStatesMatchScalar) {
@@ -279,6 +290,50 @@ TEST(BatchRunner, FixedInitialStatesMatchScalar) {
   for (std::size_t i = 0; i < seeds.size(); ++i) {
     expect_same_run(batch[i], scalar_run(algo, "mirror", seeds[i], opt),
                     "initial/seed=" + std::to_string(seeds[i]));
+  }
+}
+
+// A forge_block override that breaks the ForgedRound contract: either a
+// receiver map shorter than n, or a correct receiver mapped past the last
+// profile.
+class BadGeometryAdversary final : public sim::Adversary {
+ public:
+  explicit BadGeometryAdversary(bool short_map) : short_map_(short_map) {}
+  sim::State message(std::uint64_t, sim::NodeId, sim::NodeId, std::span<const sim::State>,
+                     const sim::CountingAlgorithm&, util::Rng&) override {
+    return {};
+  }
+  void forge_block(std::uint64_t, std::span<const sim::State> true_states,
+                   const sim::CountingAlgorithm&, std::span<const sim::NodeId> faulty_ids,
+                   std::span<const sim::NodeId>, util::Rng&, sim::ForgedRound& out) override {
+    out.num_profiles = 2;
+    out.states.assign(2 * faulty_ids.size(), sim::State{});
+    out.profile_of.assign(short_map_ ? 1 : true_states.size(), 0);
+    if (!short_map_) out.profile_of.back() = 7;  // node n-1 is correct below
+  }
+  std::string name() const override { return "bad-geometry"; }
+
+ private:
+  bool short_map_;
+};
+
+TEST(BatchRunner, RejectsBadForgedProfileGeometry) {
+  // Both blocks validate the geometry in every build type: a flat table and
+  // a boosted tower (N = 4) over the same fault placement.
+  const std::vector<counting::AlgorithmPtr> algos = {
+      table3(), boosting::build_plan(boosting::plan_practical(1, 10))};
+  for (const auto& algo : algos) {
+    ASSERT_EQ(algo->num_nodes(), 4);
+    for (const bool short_map : {true, false}) {
+      sim::BatchConfig bc;
+      bc.algo = algo;
+      bc.faulty = sim::faults_prefix(4, 1);
+      bc.max_rounds = 10;
+      bc.adversary = [short_map] { return std::make_unique<BadGeometryAdversary>(short_map); };
+      bc.seeds = {1, 2, 3};
+      EXPECT_THROW(sim::run_batch(bc), std::logic_error)
+          << algo->name() << "/short_map=" << short_map;
+    }
   }
 }
 

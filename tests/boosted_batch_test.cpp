@@ -137,7 +137,6 @@ TEST(ComposedCompile, RecognisesSupportedTowers) {
                 std::make_shared<counting::TrivialCounter>(16)),
             nullptr);
   EXPECT_EQ(sim::ComposedCompiledTable::compile(nullptr), nullptr);
-  EXPECT_TRUE(sim::batch_supported(practical(2)));
 
   const auto cc = sim::ComposedCompiledTable::compile(practical(2));
   ASSERT_EQ(cc->levels.size(), 2u);
@@ -185,10 +184,10 @@ TEST(ComposedBatch, BoostedOverTableBaseMatchesScalar) {
   }
 }
 
-TEST(ComposedBatch, BitSlicedBaseWidthsMatchScalar) {
-  // Towers over a num_states <= 4 table base route the base level through
-  // the bit-sliced planes; 70 lanes cross the 64-lane word boundary so the
-  // cross-lane base transition handles both a full word and a partial tail.
+TEST(ComposedBatch, TableBaseWidthsMatchScalar) {
+  // A tower over a table base steps the base per lane through the compiled
+  // table; 70 lanes cross the 64-lane block boundary, so one full block and
+  // a partial tail block both run.
   const auto algo = boosted_over_table();
   RunOpts opt;
   opt.faulty = sim::faults_spread(6, 1);
@@ -196,23 +195,7 @@ TEST(ComposedBatch, BitSlicedBaseWidthsMatchScalar) {
   std::vector<std::uint64_t> seeds(70);
   for (std::size_t i = 0; i < seeds.size(); ++i) seeds[i] = 0xD000 + i * 19;
   for (const auto& adv : {"silent", "split", "random"}) {
-    expect_differential(algo, adv, seeds, opt, std::string("bs-base-wide/") + adv);
-  }
-}
-
-TEST(ComposedBatch, RejectsExplicitKernelSelection) {
-  // The composed path has a single kernel; asking for kSoA / kBitSliced is a
-  // caller error and must fail loudly instead of being silently ignored.
-  const auto algo = practical(1);
-  for (const auto kernel : {sim::BatchKernel::kSoA, sim::BatchKernel::kBitSliced}) {
-    sim::BatchConfig bc;
-    bc.algo = algo;
-    bc.faulty = sim::faults_spread(4, 1);
-    bc.max_rounds = 20;
-    bc.adversary = [] { return sim::make_adversary("silent"); };
-    bc.seeds = {1, 2};
-    bc.kernel = kernel;
-    EXPECT_THROW(sim::run_batch(bc), std::invalid_argument);
+    expect_differential(algo, adv, seeds, opt, std::string("table-base-wide/") + adv);
   }
 }
 
