@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <bit>
+#include <numeric>
 
 #include "util/check.hpp"
 
@@ -26,6 +27,39 @@ State raw_random_state(const CountingAlgorithm& algo, util::Rng& rng) {
     raw.set_bits(off, std::min(64, bits - off), rng.next_u64());
   }
   return raw;
+}
+
+// One profile per correct receiver, in correct_ids order: the geometry of
+// the default forge_block for receiver-dependent strategies. The map only
+// changes with the node count, so it is rebuilt only then.
+void per_receiver_profiles(std::span<const NodeId> correct_ids, std::size_t n,
+                           ForgedRound& out) {
+  out.num_profiles = static_cast<int>(correct_ids.size());
+  if (out.profile_of.size() != n) {
+    out.profile_of.assign(n, 0);
+    for (std::size_t j = 0; j < correct_ids.size(); ++j) {
+      out.profile_of[static_cast<std::size_t>(correct_ids[j])] = static_cast<std::uint16_t>(j);
+    }
+  }
+}
+
+// The node whose round-start state mirror's `sender` echoes to `receiver`:
+// a peer rotating with the round, never the sender itself.
+NodeId mirror_victim(std::uint64_t round, NodeId sender, NodeId receiver, NodeId n) {
+  NodeId victim = static_cast<NodeId>((receiver + round) % static_cast<std::uint64_t>(n));
+  if (victim == sender) victim = (victim + 1) % n;
+  return victim;
+}
+
+// The position in targeted-vote's shuffled pool (size >= 1) replayed to
+// `receiver`: receiver halves get states from opposite ends of the pool.
+std::size_t vote_pick(NodeId receiver, std::size_t pool_size) {
+  const std::size_t half = pool_size / 2;
+  const auto r = static_cast<std::size_t>(receiver);
+  const std::size_t idx = (receiver % 2 == 0)
+                              ? (r / 2) % std::max<std::size_t>(half, 1)
+                              : half + (r / 2) % std::max<std::size_t>(pool_size - half, 1);
+  return std::min(idx, pool_size - 1);
 }
 
 // Measures how "agreed" a set of outputs is: the count of the most common
@@ -116,6 +150,7 @@ void RandomAdversary::forge_block(std::uint64_t, std::span<const State> true_sta
 bool SplitAdversary::forge_lanes_idx(std::uint64_t /*round*/, const CountingAlgorithm& algo,
                                      std::span<const NodeId> faulty_ids,
                                      std::span<const NodeId> correct_ids,
+                                     std::span<const std::uint8_t> /*states_idx*/,
                                      std::span<util::Rng> rngs,
                                      std::span<const std::uint64_t> active,
                                      std::uint8_t* out_idx, ForgedRound& out) {
@@ -157,6 +192,7 @@ bool SplitAdversary::forge_lanes_idx(std::uint64_t /*round*/, const CountingAlgo
 bool RandomAdversary::forge_lanes_idx(std::uint64_t /*round*/, const CountingAlgorithm& algo,
                                       std::span<const NodeId> faulty_ids,
                                       std::span<const NodeId> correct_ids,
+                                      std::span<const std::uint8_t> /*states_idx*/,
                                       std::span<util::Rng> rngs,
                                       std::span<const std::uint64_t> active,
                                       std::uint8_t* out_idx, ForgedRound& out) {
@@ -164,14 +200,7 @@ bool RandomAdversary::forge_lanes_idx(std::uint64_t /*round*/, const CountingAlg
   const std::size_t nf = faulty_ids.size();
   const std::size_t L = rngs.size();
   const std::size_t slots = correct_ids.size() * nf;
-  const std::size_t n = faulty_ids.size() + correct_ids.size();
-  out.num_profiles = static_cast<int>(correct_ids.size());
-  if (out.profile_of.size() != n) {
-    out.profile_of.assign(n, 0);
-    for (std::size_t j = 0; j < correct_ids.size(); ++j) {
-      out.profile_of[static_cast<std::size_t>(correct_ids[j])] = static_cast<std::uint16_t>(j);
-    }
-  }
+  per_receiver_profiles(correct_ids, nf + correct_ids.size(), out);
   if (ig_.bits == 0) {
     std::fill(out_idx, out_idx + slots * L, std::uint8_t{0});
     return true;
@@ -200,10 +229,33 @@ State MirrorAdversary::message(std::uint64_t round, NodeId sender, NodeId receiv
                                util::Rng&) {
   // Echo the round-start state of a rotating peer: a plausible, protocol-
   // consistent value that nevertheless differs per receiver.
-  const auto n = static_cast<NodeId>(states.size());
-  NodeId victim = static_cast<NodeId>((receiver + round) % static_cast<std::uint64_t>(n));
-  if (victim == sender) victim = (victim + 1) % n;
-  return states[static_cast<std::size_t>(victim)];
+  return states[static_cast<std::size_t>(
+      mirror_victim(round, sender, receiver, static_cast<NodeId>(states.size())))];
+}
+
+bool MirrorAdversary::forge_lanes_idx(std::uint64_t round, const CountingAlgorithm& algo,
+                                      std::span<const NodeId> faulty_ids,
+                                      std::span<const NodeId> correct_ids,
+                                      std::span<const std::uint8_t> states_idx,
+                                      std::span<util::Rng> rngs,
+                                      std::span<const std::uint64_t> /*active*/,
+                                      std::uint8_t* out_idx, ForgedRound& out) {
+  if (states_idx.empty() || !idx_guard(ig_, algo)) return false;
+  const std::size_t nf = faulty_ids.size();
+  const std::size_t L = rngs.size();
+  const std::size_t n = nf + correct_ids.size();
+  SC_REQUIRE(states_idx.size() == n * L, "forge_lanes_idx state view has the wrong size");
+  per_receiver_profiles(correct_ids, n, out);
+  // Every lane mirrors the same victim in a slot, so each slot is one row
+  // copy (inactive lanes included; nothing reads them).
+  for (std::size_t j = 0; j < correct_ids.size(); ++j) {
+    for (std::size_t k = 0; k < nf; ++k) {
+      const auto victim = static_cast<std::size_t>(
+          mirror_victim(round, faulty_ids[k], correct_ids[j], static_cast<NodeId>(n)));
+      std::copy_n(states_idx.data() + victim * L, L, out_idx + (j * nf + k) * L);
+    }
+  }
+  return true;
 }
 
 void TargetedVoteAdversary::begin_round(std::uint64_t, std::span<const State> states,
@@ -222,18 +274,49 @@ void TargetedVoteAdversary::begin_round(std::uint64_t, std::span<const State> st
   std::shuffle(pool_.begin(), pool_.end(), rng);
 }
 
-State TargetedVoteAdversary::message(std::uint64_t, NodeId sender, NodeId receiver,
+State TargetedVoteAdversary::message(std::uint64_t, NodeId, NodeId receiver,
                                      std::span<const State>, const CountingAlgorithm& algo,
                                      util::Rng& rng) {
   if (pool_.empty()) return random_state(algo, rng);
-  // Receiver halves get states from opposite ends of the shuffled pool.
-  const std::size_t half = pool_.size() / 2;
-  const std::size_t idx =
-      (receiver % 2 == 0) ? (static_cast<std::size_t>(receiver) / 2) % std::max<std::size_t>(half, 1)
-                          : half + (static_cast<std::size_t>(receiver) / 2) %
-                                       std::max<std::size_t>(pool_.size() - half, 1);
-  (void)sender;
-  return pool_[std::min(idx, pool_.size() - 1)];
+  return pool_[vote_pick(receiver, pool_.size())];
+}
+
+bool TargetedVoteAdversary::forge_lanes_idx(std::uint64_t /*round*/,
+                                            const CountingAlgorithm& algo,
+                                            std::span<const NodeId> faulty_ids,
+                                            std::span<const NodeId> correct_ids,
+                                            std::span<const std::uint8_t> states_idx,
+                                            std::span<util::Rng> rngs,
+                                            std::span<const std::uint64_t> active,
+                                            std::uint8_t* out_idx, ForgedRound& out) {
+  if (states_idx.empty() || !idx_guard(ig_, algo)) return false;
+  const std::size_t nf = faulty_ids.size();
+  const std::size_t nc = correct_ids.size();
+  const std::size_t L = rngs.size();
+  const std::size_t n = nf + nc;
+  SC_REQUIRE(states_idx.size() == n * L, "forge_lanes_idx state view has the wrong size");
+  per_receiver_profiles(correct_ids, n, out);
+  pick_.resize(nc);
+  for (std::size_t j = 0; j < nc; ++j) {
+    pick_[j] = static_cast<std::uint32_t>(vote_pick(correct_ids[j], nc));
+  }
+  perm_.resize(nc);
+  for (std::size_t w = 0; w < active.size(); ++w) {
+    for (std::uint64_t m = active[w]; m; m &= m - 1) {
+      const std::size_t l = w * 64 + static_cast<std::size_t>(std::countr_zero(m));
+      // begin_round's pool is the correct nodes' states in correct_ids
+      // order; shuffling their positions draws exactly what shuffling the
+      // states would, and pool slot t then holds correct_ids[perm_[t]].
+      std::iota(perm_.begin(), perm_.end(), 0u);
+      std::shuffle(perm_.begin(), perm_.end(), rngs[l]);
+      for (std::size_t j = 0; j < nc; ++j) {
+        const auto src = static_cast<std::size_t>(correct_ids[perm_[pick_[j]]]);
+        const std::uint8_t v = states_idx[src * L + l];
+        for (std::size_t k = 0; k < nf; ++k) out_idx[(j * nf + k) * L + l] = v;
+      }
+    }
+  }
+  return true;
 }
 
 LookaheadAdversary::LookaheadAdversary(int candidates, int sample_receivers)

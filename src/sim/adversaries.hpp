@@ -16,6 +16,11 @@
 //  * LookaheadAdversary   -- 1-round lookahead: simulates K candidate message
 //                            profiles and commits to the one minimising
 //                            agreement among correct nodes.
+//
+// Split, random, mirror and targeted-vote also forge a flat table block's
+// whole round in one forge_lanes_idx call; mirror and targeted-vote read
+// the block's node-major state-index view (states_idx[node * lanes + lane])
+// instead of per-lane State vectors.
 #pragma once
 
 #include <memory>
@@ -66,7 +71,8 @@ class RandomAdversary final : public Adversary {
                    ForgedRound& out) override;
   bool forge_lanes_idx(std::uint64_t round, const CountingAlgorithm& algo,
                        std::span<const NodeId> faulty_ids,
-                       std::span<const NodeId> correct_ids, std::span<util::Rng> rngs,
+                       std::span<const NodeId> correct_ids,
+                       std::span<const std::uint8_t> states_idx, std::span<util::Rng> rngs,
                        std::span<const std::uint64_t> active, std::uint8_t* out_idx,
                        ForgedRound& out) override;
   bool state_oblivious() const noexcept override { return true; }
@@ -93,7 +99,8 @@ class SplitAdversary final : public Adversary {
                    ForgedRound& out) override;
   bool forge_lanes_idx(std::uint64_t round, const CountingAlgorithm& algo,
                        std::span<const NodeId> faulty_ids,
-                       std::span<const NodeId> correct_ids, std::span<util::Rng> rngs,
+                       std::span<const NodeId> correct_ids,
+                       std::span<const std::uint8_t> states_idx, std::span<util::Rng> rngs,
                        std::span<const std::uint64_t> active, std::uint8_t* out_idx,
                        ForgedRound& out) override;
   bool state_oblivious() const noexcept override { return true; }
@@ -111,12 +118,20 @@ class MirrorAdversary final : public Adversary {
   State message(std::uint64_t round, NodeId sender, NodeId receiver,
                 std::span<const State> true_states, const CountingAlgorithm& algo,
                 util::Rng& rng) override;
+  // Copies each (receiver, sender) slot's victim row of the state view;
+  // draws nothing.
+  bool forge_lanes_idx(std::uint64_t round, const CountingAlgorithm& algo,
+                       std::span<const NodeId> faulty_ids,
+                       std::span<const NodeId> correct_ids,
+                       std::span<const std::uint8_t> states_idx, std::span<util::Rng> rngs,
+                       std::span<const std::uint64_t> active, std::uint8_t* out_idx,
+                       ForgedRound& out) override;
   bool begin_round_passive() const noexcept override { return true; }
   bool message_draw_free() const noexcept override { return true; }
   std::string name() const override { return "mirror"; }
 
  private:
-  std::vector<NodeId> correct_;
+  IdxGuard ig_;
 };
 
 class TargetedVoteAdversary final : public Adversary {
@@ -127,6 +142,15 @@ class TargetedVoteAdversary final : public Adversary {
   State message(std::uint64_t round, NodeId sender, NodeId receiver,
                 std::span<const State> true_states, const CountingAlgorithm& algo,
                 util::Rng& rng) override;
+  // Shuffles a permutation of the correct-node positions per lane instead of
+  // the harvested states: std::shuffle's draws depend only on the range
+  // length and the rng, so the lane's stream matches begin_round's.
+  bool forge_lanes_idx(std::uint64_t round, const CountingAlgorithm& algo,
+                       std::span<const NodeId> faulty_ids,
+                       std::span<const NodeId> correct_ids,
+                       std::span<const std::uint8_t> states_idx, std::span<util::Rng> rngs,
+                       std::span<const std::uint64_t> active, std::uint8_t* out_idx,
+                       ForgedRound& out) override;
   // message()'s random fallback only fires when pool_ is empty, which cannot
   // happen in a run (there is always at least one correct node to harvest).
   bool message_draw_free() const noexcept override { return true; }
@@ -134,6 +158,9 @@ class TargetedVoteAdversary final : public Adversary {
 
  private:
   std::vector<State> pool_;  // plausible states harvested from correct nodes
+  IdxGuard ig_;
+  std::vector<std::uint32_t> perm_;    // forge_lanes_idx: one lane's shuffled pool order
+  std::vector<std::uint32_t> pick_;    // forge_lanes_idx: [correct j] -> pool position
 };
 
 class LookaheadAdversary final : public Adversary {

@@ -53,6 +53,7 @@ bool Adversary::idx_guard(IdxGuard& g, const CountingAlgorithm& algo) {
 bool Adversary::forge_lanes_idx(std::uint64_t /*round*/, const CountingAlgorithm& /*algo*/,
                                 std::span<const NodeId> /*faulty_ids*/,
                                 std::span<const NodeId> /*correct_ids*/,
+                                std::span<const std::uint8_t> /*states_idx*/,
                                 std::span<util::Rng> /*rngs*/,
                                 std::span<const std::uint64_t> /*active*/,
                                 std::uint8_t* /*out_idx*/, ForgedRound& /*out*/) {

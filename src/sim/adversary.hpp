@@ -83,22 +83,37 @@ class Adversary {
 
   // Lane-batched index forging: one call forges the whole round for every
   // lane whose bit is set in `active` (word w bit b = lane 64w + b; lane
-  // count = rngs.size()), amortising the virtual dispatch and keeping the
+  // count L = rngs.size()), amortising the virtual dispatch and keeping the
   // draw loop hot. For each active lane l it must draw from rngs[l] exactly
   // as forge_block would for that lane (lanes are independent rng streams,
   // so cross-lane order is free) and write the canonical indices slot-major:
-  // out_idx[(p * |faulty_ids| + k) * rngs.size() + l]. The lane-invariant
-  // profile geometry (num_profiles, profile_of) is written to `out`;
-  // out.states is not touched. Returns false when the strategy or algorithm
-  // does not admit the path (canonical indices need |X| <= 256 and
-  // state_bits <= 64) -- only state-oblivious strategies with
-  // per-lane-stateless forging can override this, since it sees neither
-  // true_states nor the per-lane adversary instances. A false return must
-  // leave every rng untouched (the caller re-forges every lane through
-  // forge_block). The default returns false.
+  // out_idx[(p * |faulty_ids| + k) * L + l]. Inactive lanes' entries may be
+  // written too; no consumer reads them. The lane-invariant profile geometry
+  // (num_profiles, profile_of) is written to `out`; out.states is not
+  // touched. With faulty_ids empty there is no slot to write, and the call
+  // makes only each active lane's begin_round draws: the batched runner
+  // uses it that way for fault-free blocks whose begin_round is not passive.
+  // correct_ids is the ascending complement of faulty_ids.
+  //
+  // `states_idx` is a read-only view of the block's round-start canonical
+  // state indices, node-major: states_idx[node * L + lane] for all n nodes,
+  // faulty rows holding their fixed nominal index. It is the index form of
+  // forge_block's true_states, so state-reading strategies (mirror,
+  // targeted-vote) implement this path too. The batched runner passes it
+  // only to adversaries that are not state_oblivious(); state-oblivious
+  // ones get an empty span, and a state-reading override must decline on
+  // one. The call goes to one lane's instance on behalf of all of them, so
+  // an override must not depend on per-lane adversary state that outlives
+  // a round.
+  //
+  // Returns false when the strategy or algorithm does not admit the path
+  // (canonical indices need |X| <= 256 and state_bits <= 64). A false
+  // return must leave every rng untouched (the caller re-forges every lane
+  // through forge_block). The default returns false.
   virtual bool forge_lanes_idx(std::uint64_t round, const CountingAlgorithm& algo,
                                std::span<const NodeId> faulty_ids,
                                std::span<const NodeId> correct_ids,
+                               std::span<const std::uint8_t> states_idx,
                                std::span<util::Rng> rngs,
                                std::span<const std::uint64_t> active, std::uint8_t* out_idx,
                                ForgedRound& out);

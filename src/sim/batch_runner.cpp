@@ -50,6 +50,34 @@ inline void planes_from_bytes(const std::uint8_t* src, std::size_t count, std::u
   b1 = hi;
 }
 
+// Spreads the eight bits of `byte` to bit 0 of the eight bytes of a word
+// (bit i -> byte i). Broadcasting the byte (x * 0x0101..01) and keeping bit i
+// in byte i (& 0x8040201008040201) leaves each byte 0 or a single bit; adding
+// 0x7F moves a set bit to bit 7 without carrying into the next byte, and
+// >> 7 lands it at bit 0.
+inline std::uint64_t spread_byte(std::uint64_t byte) noexcept {
+  constexpr std::uint64_t kLowBits = 0x0101010101010101ULL;
+  return ((((byte * kLowBits) & 0x8040201008040201ULL) + 0x7F7F7F7F7F7F7F7FULL) >> 7) &
+         kLowBits;
+}
+
+// The inverse of planes_from_bytes: writes lanes [0, count) (count <= 64)
+// of a bitplane pair as one 2-bit state index per byte, eight lanes per
+// spread_byte pair, with a byte loop for the tail.
+inline void bytes_from_planes(std::uint64_t b0, std::uint64_t b1, std::size_t count,
+                              std::uint8_t* dst) noexcept {
+  std::size_t b = 0;
+  if constexpr (std::endian::native == std::endian::little) {
+    for (; b + 8 <= count; b += 8) {
+      const std::uint64_t x = spread_byte((b0 >> b) & 0xFF) | (spread_byte((b1 >> b) & 0xFF) << 1);
+      std::memcpy(dst + b, &x, sizeof(x));
+    }
+  }
+  for (; b < count; ++b) {
+    dst[b] = static_cast<std::uint8_t>(((b0 >> b) & 1) | (((b1 >> b) & 1) << 1));
+  }
+}
+
 // One block of up to 512 lanes advanced in lockstep. Every bitplane is an
 // array of kWords uint64_t, so the word-wise loops below auto-vectorise; a
 // short block leaves its spare lanes inactive, and every plane consumer
@@ -122,6 +150,12 @@ class Block {
       active_[l / kLanesPerWord] |= 1ULL << (l % kLanesPerWord);
     }
     frs_.resize(W_);
+    // The bit-sliced state view: faulty rows hold the nominal states for
+    // the whole run, so they are expanded once here.
+    if (bit_sliced_ && !lanes_.state_oblivious) {
+      view_.assign(nn * W_, 0);
+      for (const NodeId i : lanes_.faulty_ids) expand_row(i);
+    }
   }
 
   std::vector<RunResult> run() {
@@ -193,22 +227,18 @@ class Block {
             stop = lanes_.observe(l, lane_agreed, first);
           }
           if (recording) record_lane(l);
-          if (stop) {
-            active_[w] &= ~(1ULL << bit);
-            continue;
-          }
-          if (will_forge || lanes_.passive_rounds) continue;
-          if (!lanes_.state_oblivious) refresh_states(l);
-          lanes_.begin_round(l, round, algo_);
+          if (stop) active_[w] &= ~(1ULL << bit);
         }
       }
-      // Forging runs below the per-lane pass so that one lane-batched
-      // adversary call can serve the whole block. The deferral is
-      // unobservable: nothing between a lane's observe and its forging draws
-      // from its rng, and lanes are independent streams.
+      // The adversary's round runs below the per-lane pass so that one
+      // lane-batched call can serve the whole block. The deferral is
+      // unobservable: nothing between a lane's observe and its adversary
+      // calls draws from its rng, and lanes are independent streams.
       if (will_forge) {
         forge_lanes(round);
         lanes_.static_forged = lanes_.static_forge;
+      } else if (!lanes_.passive_rounds) {
+        begin_rounds(round);
       }
       if (!mask_any(active_)) break;
 
@@ -276,26 +306,32 @@ class Block {
     }
   }
 
-  // Forges the round for every lane still in active_. Tries the lane-batched
-  // index entry point first -- one virtual call and one flat slot-major index
-  // buffer for the whole block -- and falls back to per-lane forge_block the
-  // first time the adversary declines.
+  // One lane-batched forge_lanes_idx call for every lane still in active_,
+  // with the state view when the adversary reads states. Returns false, with
+  // every rng untouched, once the adversary has declined; the callers then
+  // run the per-lane entry points for the rest of the block.
+  bool try_forge_lanes_idx(std::uint64_t round) {
+    if (!lanes_batched_) return false;
+    const std::size_t nf = lanes_.faulty_ids.size();
+    if (fidx_.empty()) fidx_.assign(lanes_.correct.size() * nf * W_, 0);
+    if (lanes_.advs.front()->forge_lanes_idx(
+            round, algo_, lanes_.faulty_ids, lanes_.correct, state_view(),
+            std::span<util::Rng>(lanes_.rngs), std::span<const std::uint64_t>(active_),
+            fidx_.data(), frs_.front())) {
+      return true;
+    }
+    lanes_batched_ = false;
+    return false;
+  }
+
+  // Forges the round for every lane still in active_: the lane-batched index
+  // path while the adversary admits it -- one virtual call and one flat
+  // slot-major index buffer for the whole block -- else forge_block per lane.
   void forge_lanes(std::uint64_t round) {
-    const std::vector<NodeId>& faulty_ids = lanes_.faulty_ids;
-    const std::size_t nf = faulty_ids.size();
-    if (lanes_batched_) {
-      if (fidx_.empty()) fidx_.assign(lanes_.correct.size() * nf * W_, 0);
-      ForgedRound& fr = frs_.front();
-      if (lanes_.advs.front()->forge_lanes_idx(
-              round, algo_, faulty_ids, lanes_.correct, std::span<util::Rng>(lanes_.rngs),
-              std::span<const std::uint64_t>(active_), fidx_.data(), fr)) {
-        set_profiles(fr);
-        scatter_forged(static_cast<std::size_t>(nprof_) * nf);
-        return;
-      }
-      // Declining is rng-neutral (see the contract), so the per-lane
-      // fallback below re-forges from an untouched stream.
-      lanes_batched_ = false;
+    if (try_forge_lanes_idx(round)) {
+      set_profiles(frs_.front());
+      scatter_forged(static_cast<std::size_t>(nprof_) * lanes_.faulty_ids.size());
+      return;
     }
     const ForgedRound* first = nullptr;
     for (std::size_t w = 0; w < kWords; ++w) {
@@ -317,6 +353,44 @@ class Block {
           store_forged(s, l, static_cast<std::uint8_t>(v));
         }
       }
+    }
+  }
+
+  // A round that forges nothing (no faults, or a static forger's later
+  // rounds) still runs every lane's non-passive begin_round. Without faults
+  // that is the whole of the adversary's round, so the index path serves it:
+  // with no faulty sender it writes no slot and draws only what begin_round
+  // would.
+  void begin_rounds(std::uint64_t round) {
+    if (lanes_.faultless && try_forge_lanes_idx(round)) return;
+    for (std::size_t w = 0; w < kWords; ++w) {
+      for (std::uint64_t m = active_[w]; m; m &= m - 1) {
+        const std::size_t l = w * kLanesPerWord + static_cast<std::size_t>(std::countr_zero(m));
+        if (!lanes_.state_oblivious) refresh_states(l);
+        lanes_.begin_round(l, round, algo_);
+      }
+    }
+  }
+
+  // The read-only state view forge_lanes_idx takes, node-major [node * W +
+  // lane]: empty for state-oblivious adversaries; the SoA rows themselves
+  // (faulty rows keep their nominal index, the transition never writes
+  // them); on the bit-sliced kernel, view_ with the correct rows expanded
+  // from this round's planes.
+  std::span<const std::uint8_t> state_view() {
+    if (lanes_.state_oblivious) return {};
+    if (!bit_sliced_) return cur_;
+    for (const NodeId i : lanes_.correct) expand_row(i);
+    return view_;
+  }
+
+  // view_'s row for `node` from its bitplanes, 64 lanes per plane word.
+  void expand_row(NodeId node) noexcept {
+    const auto& p = p_[static_cast<std::size_t>(node)];
+    std::uint8_t* row = view_.data() + static_cast<std::size_t>(node) * W_;
+    for (std::size_t w = 0; w * kLanesPerWord < W_; ++w) {
+      const std::size_t base = w * kLanesPerWord;
+      bytes_from_planes(p[0][w], p[1][w], std::min(kLanesPerWord, W_ - base), row + base);
     }
   }
 
@@ -489,6 +563,9 @@ class Block {
   // trying (cleared on its first decline).
   std::vector<std::uint8_t> fidx_;
   bool lanes_batched_ = true;
+  // Bit-sliced kernel, state-reading adversaries: the byte-expanded state
+  // view handed to forge_lanes_idx ([node * W + lane]).
+  std::vector<std::uint8_t> view_;
 
   // This round's profile geometry (persists across rounds for static
   // forgers): profile count, per-correct-receiver profile index, and the

@@ -23,7 +23,10 @@
 // Adversary::forge_block per lane): a handful of receiver *profiles* plus a
 // lane-invariant receiver-to-profile map, so the kernels build equality
 // planes / byte rows once per (profile, sender) instead of once per
-// receiver.
+// receiver. Adversaries that read states (mirror, targeted-vote) get the
+// block's round-start state indices as a node-major [node * lanes + lane]
+// view -- the SoA rows themselves, or the bitplanes expanded to bytes once
+// per round -- so the index path needs no per-lane State vectors.
 //
 // Per-execution randomness (initial states, adversary draws) always flows
 // through one Rng and one Adversary instance per lane (sim/lanes.hpp),

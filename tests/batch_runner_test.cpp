@@ -82,6 +82,26 @@ TablePtr table5() {
   return std::make_shared<counting::TableAlgorithm>(std::move(t));
 }
 
+// An n = 7, f = 2 table: with two faults a mirror sender's rotating victim
+// can be the other faulty node, so the forgers read nominal (faulty) rows.
+// 3 states run bit-sliced, 5 states SoA. Behaviour is arbitrary, as above.
+TablePtr table7(std::uint64_t num_states) {
+  counting::TransitionTable t;
+  t.n = 7;
+  t.f = 2;
+  t.num_states = num_states;
+  t.modulus = 2;
+  t.symmetry = counting::Symmetry::kUniform;
+  t.g.resize(t.expected_g_size());
+  for (std::size_t i = 0; i < t.g.size(); ++i) {
+    t.g[i] = static_cast<std::uint8_t>((i * 7 + i / 49 + 1) % num_states);
+  }
+  t.h.resize(num_states);
+  for (std::size_t v = 0; v < num_states; ++v) t.h[v] = static_cast<std::uint8_t>(v % 2);
+  t.label = "7nodes-test";
+  return std::make_shared<counting::TableAlgorithm>(std::move(t));
+}
+
 struct RunOpts {
   std::vector<bool> faulty;
   std::uint64_t max_rounds = 200;
@@ -201,10 +221,11 @@ TEST(BatchRunner, MultiWordWidthsMatchScalar) {
   // 257, 511, 513, 1025) on both kernels: the multi-word planes, the short
   // final block and the lane-batched adversary forging must stay
   // bit-identical to run_execution regardless of how many executions share a
-  // table pass. 65, 257 and 513 leave one lane in the last plane word; 128 is
-  // two full words with the rest of the block inactive; 511 ends the block
-  // in a 63-lane partial word; 1025 is two full blocks plus a one-lane tail
-  // block.
+  // table pass, for the state-oblivious (split, random) and the
+  // state-reading (mirror, targeted-vote) index forgers. 65, 257 and 513
+  // leave one lane in the last plane word; 128 is two full words with the
+  // rest of the block inactive; 511 ends the block in a 63-lane partial
+  // word; 1025 is two full blocks plus a one-lane tail block.
   RunOpts opt;
   opt.faulty = sim::faults_spread(4, 1);
   opt.max_rounds = 48;
@@ -214,7 +235,7 @@ TEST(BatchRunner, MultiWordWidthsMatchScalar) {
   for (const auto& [tname, algo] :
        std::vector<std::pair<std::string, TablePtr>>{{"3states", table3()},
                                                      {"5states", table5()}}) {
-    for (const std::string adv : {"split", "random"}) {
+    for (const std::string adv : {"split", "random", "mirror", "targeted-vote"}) {
       std::vector<sim::RunResult> reference;
       reference.reserve(seeds.size());
       for (const auto s : seeds) reference.push_back(scalar_run(algo, adv, s, opt));
@@ -227,6 +248,38 @@ TEST(BatchRunner, MultiWordWidthsMatchScalar) {
           expect_same_run(batch[i], reference[i],
                           tname + "/" + adv + "/width=" + std::to_string(width) +
                               "/seed=" + std::to_string(sub[i]));
+        }
+      }
+    }
+  }
+}
+
+TEST(BatchRunner, StateReadingForgersMatchScalarWithFaultyVictims) {
+  // Two faults on seven nodes: mirror's victim rotation reaches the other
+  // faulty node, so its fixed nominal row of the state view is read. The
+  // fault-free placement runs targeted-vote's begin_round-only rounds
+  // through the index path. Widths 65 and 513 end in a one-lane word.
+  std::vector<std::uint64_t> seeds(513);
+  for (std::size_t i = 0; i < seeds.size(); ++i) seeds[i] = 0xD000 + i * 11;
+  const std::vector<std::pair<std::string, std::vector<bool>>> placements = {
+      {"prefix", sim::faults_prefix(7, 2)}, {"spread", sim::faults_spread(7, 2)}, {"none", {}}};
+  for (const std::uint64_t num_states : {3, 5}) {
+    const auto algo = table7(num_states);
+    for (const auto& [pname, faulty] : placements) {
+      for (const std::string adv : {"mirror", "targeted-vote"}) {
+        RunOpts opt;
+        opt.faulty = faulty;
+        opt.max_rounds = 40;
+        for (const std::size_t width : {std::size_t{65}, std::size_t{513}}) {
+          const std::vector<std::uint64_t> sub(seeds.begin(), seeds.begin() + width);
+          const auto batch = batch_run(algo, adv, sub, opt);
+          ASSERT_EQ(batch.size(), width);
+          for (std::size_t i = 0; i < width; ++i) {
+            expect_same_run(batch[i], scalar_run(algo, adv, sub[i], opt),
+                            "|X|=" + std::to_string(num_states) + "/" + pname + "/" + adv +
+                                "/width=" + std::to_string(width) +
+                                "/seed=" + std::to_string(sub[i]));
+          }
         }
       }
     }
@@ -333,6 +386,111 @@ TEST(BatchRunner, RejectsBadForgedProfileGeometry) {
       bc.seeds = {1, 2, 3};
       EXPECT_THROW(sim::run_batch(bc), std::logic_error)
           << algo->name() << "/short_map=" << short_map;
+    }
+  }
+}
+
+// --- Lane-batched index forging contract -----------------------------------
+
+// Whether two generators are in the same state: equal copies draw equal
+// sequences.
+bool same_stream(util::Rng a, util::Rng b) {
+  for (int i = 0; i < 4; ++i) {
+    if (a.next_u64() != b.next_u64()) return false;
+  }
+  return true;
+}
+
+TEST(BatchRunner, StateReadingForgeLanesIdxMatchesForgeBlock) {
+  // A random state view over 512 lanes, some inactive: for every active lane
+  // the index path writes exactly the canonical indices of that lane's
+  // forge_block on the same states and leaves its rng where forge_block
+  // does; inactive lanes' rngs are not touched.
+  constexpr std::size_t L = 512;
+  std::vector<std::uint64_t> active(L / 64, ~0ULL);
+  for (std::size_t l = 0; l < L; ++l) {
+    if (l % 7 == 3 || l >= 500) active[l / 64] &= ~(1ULL << (l % 64));
+  }
+  const std::vector<std::pair<TablePtr, std::vector<bool>>> cases = {
+      {table3(), sim::faults_prefix(4, 1)},
+      {table5(), sim::faults_spread(4, 1)},
+      {table7(3), sim::faults_prefix(7, 2)},
+      {table7(5), {}}};
+  for (const auto& [algo, faulty_vec] : cases) {
+    const auto n = static_cast<std::size_t>(algo->num_nodes());
+    const std::vector<bool> faulty = faulty_vec.empty() ? std::vector<bool>(n) : faulty_vec;
+    const std::vector<sim::NodeId> faulty_ids = sim::fault_ids(faulty);
+    std::vector<sim::NodeId> correct;
+    for (std::size_t i = 0; i < n; ++i) {
+      if (!faulty[i]) correct.push_back(static_cast<sim::NodeId>(i));
+    }
+    const std::uint64_t ns = *algo->state_count();
+    util::Rng gen(0xFEED + n * 31 + ns);
+    std::vector<std::uint8_t> view(n * L);
+    for (auto& v : view) v = static_cast<std::uint8_t>(gen.next_below(ns));
+    for (const std::string adv : {"mirror", "targeted-vote"}) {
+      for (const std::uint64_t round : {0, 1, 6}) {
+        const std::string ctx = algo->name() + "/f=" + std::to_string(faulty_ids.size()) +
+                                "/" + adv + "/round=" + std::to_string(round);
+        std::vector<util::Rng> rngs;
+        for (std::size_t l = 0; l < L; ++l) rngs.emplace_back(0x5000 + l);
+        const std::vector<util::Rng> before = rngs;
+        std::vector<std::uint8_t> idx(correct.size() * faulty_ids.size() * L, 0xFF);
+        sim::ForgedRound out;
+        ASSERT_TRUE(sim::make_adversary(adv)->forge_lanes_idx(round, *algo, faulty_ids, correct,
+                                                              view, rngs, active, idx.data(),
+                                                              out))
+            << ctx;
+        for (std::size_t l = 0; l < L; ++l) {
+          if (((active[l / 64] >> (l % 64)) & 1) == 0) {
+            EXPECT_TRUE(same_stream(rngs[l], before[l])) << ctx << "/inactive lane " << l;
+            continue;
+          }
+          std::vector<sim::State> states(n);
+          for (std::size_t i = 0; i < n; ++i) states[i] = algo->state_from_index(view[i * L + l]);
+          util::Rng rng = before[l];
+          sim::ForgedRound fr;
+          sim::make_adversary(adv)->forge_block(round, states, *algo, faulty_ids, correct, rng,
+                                                fr);
+          ASSERT_EQ(fr.num_profiles, out.num_profiles) << ctx;
+          ASSERT_EQ(fr.profile_of, out.profile_of) << ctx;
+          for (std::size_t s = 0; s < fr.states.size(); ++s) {
+            ASSERT_EQ(idx[s * L + l], algo->state_to_index(fr.states[s]))
+                << ctx << "/lane " << l << "/slot " << s;
+          }
+          EXPECT_TRUE(same_stream(rngs[l], rng)) << ctx << "/lane " << l;
+        }
+      }
+    }
+  }
+}
+
+TEST(BatchRunner, StateReadingForgeLanesIdxDeclinesWithoutDrawing) {
+  // Without a state view, or on an algorithm whose states have no canonical
+  // index (a boosted tower), the state-reading forgers decline and every
+  // lane's rng stays bit-identical.
+  constexpr std::size_t L = 512;
+  const std::vector<std::uint64_t> active(L / 64, ~0ULL);
+  const std::vector<counting::AlgorithmPtr> algos = {
+      table3(), boosting::build_plan(boosting::plan_practical(1, 10))};
+  for (const auto& algo : algos) {
+    ASSERT_EQ(algo->num_nodes(), 4);
+    const bool enumerable = algo->state_count().has_value();
+    const std::vector<sim::NodeId> faulty_ids = {0};
+    const std::vector<sim::NodeId> correct = {1, 2, 3};
+    const std::vector<std::uint8_t> view(enumerable ? 0 : 4 * L, 0);
+    for (const std::string adv : {"mirror", "targeted-vote"}) {
+      std::vector<util::Rng> rngs;
+      for (std::size_t l = 0; l < L; ++l) rngs.emplace_back(0x6000 + l);
+      const std::vector<util::Rng> before = rngs;
+      std::vector<std::uint8_t> idx(correct.size() * L, 0);
+      sim::ForgedRound out;
+      EXPECT_FALSE(sim::make_adversary(adv)->forge_lanes_idx(3, *algo, faulty_ids, correct, view,
+                                                             rngs, active, idx.data(), out))
+          << algo->name() << "/" << adv;
+      for (std::size_t l = 0; l < L; ++l) {
+        EXPECT_TRUE(same_stream(rngs[l], before[l])) << algo->name() << "/" << adv << "/" << l;
+      }
     }
   }
 }
