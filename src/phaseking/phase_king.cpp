@@ -96,6 +96,60 @@ Registers step(const Params& p, int index, NodeId v, const Registers& own,
   return out;
 }
 
+Tally tally(const Params& p, int index, std::span<const std::uint64_t> received_a,
+            std::vector<std::uint32_t>& scratch) {
+  SC_ASSERT(index >= 0 && index < p.tau());
+  SC_ASSERT(static_cast<int>(received_a.size()) == p.N);
+  const auto quorum = static_cast<std::uint64_t>(p.N - p.F);
+  SC_ASSERT(2 * quorum > static_cast<std::uint64_t>(p.N));  // N > 2F: one value at most
+  Tally t;
+  t.phase = index % 3;
+  switch (t.phase) {
+    case 0: {
+      // Exact equality, as step() counts: the Boyer-Moore candidate is the
+      // only value that can hold a majority, let alone N-F entries.
+      std::uint64_t cand = 0;
+      std::size_t votes = 0;
+      for (const std::uint64_t a : received_a) {
+        if (votes == 0) {
+          cand = a;
+          votes = 1;
+        } else if (a == cand) {
+          ++votes;
+        } else {
+          --votes;
+        }
+      }
+      const auto same = std::count(received_a.begin(), received_a.end(), cand);
+      t.has_major = static_cast<std::uint64_t>(same) >= quorum;
+      t.major = cand;
+      break;
+    }
+    case 1: {
+      if (scratch.size() < p.C + 1) scratch.resize(static_cast<std::size_t>(p.C) + 1, 0);
+      for (const std::uint64_t a : received_a) {
+        const std::size_t b = bucket_of(a, p.C);
+        if (++scratch[b] >= quorum) {
+          t.has_major = true;
+          t.major = b;
+        }
+      }
+      t.value = kInfinity;
+      for (const std::uint64_t a : received_a) {
+        if (a < p.C && scratch[static_cast<std::size_t>(a)] > static_cast<std::uint64_t>(p.F)) {
+          t.value = std::min(t.value, a);
+        }
+      }
+      for (const std::uint64_t a : received_a) scratch[bucket_of(a, p.C)] = 0;
+      break;
+    }
+    default:
+      t.value = received_a[static_cast<std::size_t>(index / 3)];
+      break;
+  }
+  return t;
+}
+
 Registers step_sampled(const Params& p, int index, const Registers& own,
                        std::span<const std::uint64_t> sampled_a, std::uint64_t king_a) {
   SC_ASSERT(index >= 0 && index < p.tau());

@@ -22,9 +22,11 @@
 // Lemma 4 requires.
 #pragma once
 
+#include <algorithm>
 #include <cstdint>
 #include <span>
 #include <string>
+#include <vector>
 
 #include "util/check.hpp"
 
@@ -66,6 +68,47 @@ enum class StepMode { kCounting, kValue };
 Registers step(const Params& p, int index, NodeId v, const Registers& own,
                std::span<const std::uint64_t> received_a,
                StepMode mode = StepMode::kCounting);
+
+// The receiver-independent part of instruction set I_{index} over one
+// received vector: everything step() derives from received_a, so that many
+// receivers of the same vector (the batched composed backend shares one per
+// level copy and adversary profile) pay O(N) once and O(1) each. Because
+// N-F > N/2, at most one value can reach N-F copies, so "z_{a[v]} >= N-F"
+// becomes "a[v] is that value".
+struct Tally {
+  int phase = 0;             // index % 3
+  bool has_major = false;    // some value (phase 0) / bucket (phase 1) has >= N-F entries
+  std::uint64_t major = 0;   // that value, or its bucket min{a, C} (∞ -> C)
+  std::uint64_t value = 0;   // phase 1: min{ j : z_j > F } (or ∞); phase 2: a[king]
+};
+
+// Builds the tally of received_a for instruction set I_{index}. `scratch`
+// is a reusable zeroed counter buffer (grown to C+1, left zeroed).
+Tally tally(const Params& p, int index, std::span<const std::uint64_t> received_a,
+            std::vector<std::uint32_t>& scratch);
+
+// step() from a tally: step_tallied(p, tally(p, index, received_a, s), own)
+// equals step(p, index, v, own, received_a) in counting mode, for any own.
+// Inline: the batched backend calls it once per node, level and round.
+inline Registers step_tallied(const Params& p, const Tally& t, const Registers& own) noexcept {
+  Registers out = own;
+  switch (t.phase) {
+    case 0:
+      if (!t.has_major || own.a != t.major) out.a = kInfinity;
+      break;
+    case 1:
+      out.d = t.has_major && std::min(own.a, p.C) == t.major;  // ∞'s bucket is C
+      out.a = t.value;
+      break;
+    default:
+      if (own.a == kInfinity || !own.d) out.a = std::min(p.C, t.value);
+      out.d = true;
+      break;
+  }
+  // increment: +1 mod C, no-op on ∞; divides only on the wrap.
+  if (out.a != kInfinity) out.a = out.a + 1 < p.C ? out.a + 1 : (out.a + 1) % p.C;
+  return out;
+}
 
 // Sampled variant for the pulling model (Section 5, Lemma 8): instead of all
 // N values the node inspects M uniformly sampled a-registers (a multiset,

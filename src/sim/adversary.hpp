@@ -53,10 +53,17 @@ class Adversary {
   Adversary(const Adversary&) = delete;
   Adversary& operator=(const Adversary&) = delete;
 
-  // Called once per round before any message is queried. `true_states` holds
-  // the round-start states of all nodes (faulty nodes carry a nominal state
-  // that only the adversary observes/uses). Strategies that plan a whole
-  // round at once (e.g. lookahead search) do their work here.
+  // Called at the start of a round, before any message is queried.
+  // `true_states` holds the round-start states of all nodes (faulty nodes
+  // carry a nominal state that only the adversary observes/uses). Strategies
+  // that plan a whole round at once (e.g. lookahead search) do their work
+  // here. The scalar runner calls it every round. The batched backends skip
+  // it in rounds where it cannot be observed: when it is passive (see
+  // begin_round_passive), and in fault-free blocks whose transitions draw
+  // nothing from the lane's rng (flat tables, towers without a
+  // fresh-sampling pulling level) -- no message is forged there and nothing
+  // reads the rng afterwards. Its draws and its effect on the adversary's
+  // own state must therefore matter only through message().
   virtual void begin_round(std::uint64_t round, std::span<const State> true_states,
                            const CountingAlgorithm& algo, std::span<const NodeId> faulty_ids,
                            util::Rng& rng);
@@ -91,9 +98,8 @@ class Adversary {
   // written too; no consumer reads them. The lane-invariant profile geometry
   // (num_profiles, profile_of) is written to `out`; out.states is not
   // touched. With faulty_ids empty there is no slot to write, and the call
-  // makes only each active lane's begin_round draws: the batched runner
-  // uses it that way for fault-free blocks whose begin_round is not passive.
-  // correct_ids is the ascending complement of faulty_ids.
+  // makes only each active lane's begin_round draws. correct_ids is the
+  // ascending complement of faulty_ids.
   //
   // `states_idx` is a read-only view of the block's round-start canonical
   // state indices, node-major: states_idx[node * L + lane] for all n nodes,

@@ -237,7 +237,7 @@ class Block {
       if (will_forge) {
         forge_lanes(round);
         lanes_.static_forged = lanes_.static_forge;
-      } else if (!lanes_.passive_rounds) {
+      } else if (!lanes_.passive_rounds && !lanes_.faultless) {
         begin_rounds(round);
       }
       if (!mask_any(active_)) break;
@@ -356,13 +356,11 @@ class Block {
     }
   }
 
-  // A round that forges nothing (no faults, or a static forger's later
-  // rounds) still runs every lane's non-passive begin_round. Without faults
-  // that is the whole of the adversary's round, so the index path serves it:
-  // with no faulty sender it writes no slot and draws only what begin_round
-  // would.
+  // A static forger's later rounds forge nothing but still run every
+  // lane's non-passive begin_round. Fault-free blocks skip it: they forge no
+  // message and table transitions never read the lane's rng, so its draws
+  // are unobservable.
   void begin_rounds(std::uint64_t round) {
-    if (lanes_.faultless && try_forge_lanes_idx(round)) return;
     for (std::size_t w = 0; w < kWords; ++w) {
       for (std::uint64_t m = active_[w]; m; m &= m - 1) {
         const std::size_t l = w * kLanesPerWord + static_cast<std::size_t>(std::countr_zero(m));

@@ -15,8 +15,9 @@
 //  * BoostedCounter / PullingBoostedCounter towers -- the composed path
 //    (sim/composed_runner.hpp). Each boosting level is compiled into field
 //    stages (base kernel, per-copy votes, phase-king glue) evaluated on a
-//    decomposed per-node field vector, with per-copy vote sharing for
-//    receiver-oblivious adversaries.
+//    decomposed per-node field vector, with one vote-digit array per
+//    received view and votes and phase-king tallies shared per (level copy,
+//    adversary profile).
 //
 // Forged messages are produced per round through the adversary's bulk entry
 // points (Adversary::forge_lanes_idx for a whole block, else
@@ -79,8 +80,9 @@ struct BatchConfig {
 };
 
 // Runs seeds.size() executions (internally in blocks of 512 lanes for tables,
-// 64 for towers) and returns their RunResults in seed order; result[i] is
-// bit-identical to run_execution with seed seeds[i] and the same margin.
+// at most 64 for towers; the engine narrows tower tasks further) and returns
+// their RunResults in seed order; result[i] is bit-identical to
+// run_execution with seed seeds[i] and the same margin.
 std::vector<RunResult> run_batch(const BatchConfig& cfg);
 
 }  // namespace synccount::sim

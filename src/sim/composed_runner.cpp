@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <array>
 #include <bit>
+#include <optional>
 #include <span>
 
 #include "boosting/boosted_counter.hpp"
@@ -32,15 +33,22 @@ ComposedLevel make_level(ComposedLevel::Kind kind, int n, int N, int k, int m, i
   lv.m = m;
   lv.tau = tau;
   lv.C = C;
-  lv.pow2m.resize(static_cast<std::size_t>(k) + 1);
-  lv.pow2m[0] = 1;
-  for (int i = 1; i <= k; ++i) {
-    lv.pow2m[static_cast<std::size_t>(i)] =
-        lv.pow2m[static_cast<std::size_t>(i - 1)] * static_cast<std::uint64_t>(2 * m);
-  }
   lv.pk = phaseking::Params{n, F, C};
   lv.a_offset = inner.state_bits();
   lv.a_bits = phaseking::a_bits(C);
+  for (int u = 0; u < N; ++u) {
+    lv.copy_of.push_back(static_cast<std::uint32_t>(u / n));
+    lv.block_of.push_back(static_cast<std::uint32_t>(u % n / lv.n_inner));
+  }
+  std::uint64_t unit = static_cast<std::uint64_t>(tau);  // τ(2m)^blk
+  for (int blk = 0; blk < k; ++blk) {
+    lv.block_div.emplace_back(unit);
+    unit *= static_cast<std::uint64_t>(2 * m);
+  }
+  lv.tau_div = util::Divisor(static_cast<std::uint64_t>(tau));
+  lv.m_div = util::Divisor(static_cast<std::uint64_t>(m));
+  lv.pick_in_block = util::BoundedDraw(static_cast<std::uint64_t>(lv.n_inner));
+  lv.pick_in_copy = util::BoundedDraw(static_cast<std::uint64_t>(n));
   return lv;
 }
 
@@ -96,6 +104,11 @@ std::shared_ptr<const ComposedCompiledTable> ComposedCompiledTable::compile(
   if (cc->base.n > 256) return nullptr;
   cc->base.copies = cc->N / cc->base.n;
   cc->base.bits = cur->state_bits();
+  if (cc->base.kind == ComposedBase::Kind::kTable) {
+    for (int u = 0; u < cc->N; ++u) {
+      cc->base.slot.push_back(static_cast<std::uint8_t>(u % cc->base.n));
+    }
+  }
 
   cc->levels.assign(top_down.rbegin(), top_down.rend());
 
@@ -112,11 +125,19 @@ std::shared_ptr<const ComposedCompiledTable> ComposedCompiledTable::compile(
 
 namespace {
 
-// One block of up to 64 lanes advanced in round lockstep. Master state lives
-// decomposed: base_[lane*N + node] holds the base field and a_[lvl] / d_[lvl]
-// the per-level phase-king registers; BitVec states are materialised only for
+// One block of up to 64 lanes advanced in round lockstep (the engine picks
+// the width, see Engine::run). Master state lives decomposed:
+// base_[lane*N + node] holds the base field and a_[lvl] / d_[lvl] the
+// per-level phase-king registers; BitVec states are materialised only for
 // adversaries that read them and for record_states. All scratch is allocated
 // once here, so the round loop is allocation-free.
+//
+// Each lane-round builds the received view once: the fields, plus every
+// level's vote digits (dg_b_ / dg_r_) computed once per correct sender
+// rather than once per reader. The faulty senders' slots are written after,
+// per profile (apply_profile) or per receiver (forge_into). Vote sampling
+// and the per-copy votes read the digits; each receiver's phase-king step
+// reads a tally shared by its (level copy, profile).
 //
 // Rounds run in one of two modes, picked once per block from the adversary's
 // declared traits:
@@ -127,17 +148,17 @@ namespace {
 //    passes: pass 1 does the per-lane summary / adversary work and decomposes
 //    the forged profiles, and pass 2 applies each receiver's profile to the
 //    received view and runs the base kernel and the vote / phase-king glue,
-//    with votes cached per (level copy, profile) -- copies without faulty
-//    senders collapse to one profile-independent entry. Valid whenever
-//    hoisting every adversary query before the transitions preserves the
-//    lane's rng draw sequence: always for faultless lanes and
+//    with votes and tallies cached per (level copy, profile) -- copies
+//    without faulty senders collapse to one profile-independent entry. Valid
+//    whenever hoisting every adversary query before the transitions
+//    preserves the lane's rng draw sequence: always for faultless lanes and
 //    receiver-oblivious adversaries (the scalar runner hoists those itself),
 //    and otherwise when the adversary's message() is draw-free or the tower
 //    has no fresh-sampling pulling level.
 //  * Interleaved (the remaining case: a receiver-dependent, drawing adversary
 //    under a fresh-sampling pulling tower). Forging and transitions alternate
-//    per receiver exactly like the scalar loop, with votes memoized per
-//    (level, copy) keyed on the forged field tuple they read.
+//    per receiver exactly like the scalar loop, with votes and tallies
+//    memoized per (level, copy) keyed on the forged field tuple they read.
 class ComposedBlock {
  public:
   ComposedBlock(const BatchConfig& cfg, const ComposedCompiledTable& cc,
@@ -161,11 +182,11 @@ class ComposedBlock {
     rv_d_.assign(L_, std::vector<std::uint8_t>(nn, 0));
     rp_a_.assign(L_, nullptr);
     rp_d_.assign(L_, nullptr);
+    dg_b_.assign(L_, std::vector<std::uint64_t>(nn, 0));
+    dg_r_.assign(L_, std::vector<std::uint64_t>(nn, 0));
     nb_base_.assign(nn, 0);
     nb_a_.assign(L_, std::vector<std::uint64_t>(nn, 0));
     nb_d_.assign(L_, std::vector<std::uint8_t>(nn, 0));
-    b_all_.assign(nn, 0);
-    r_all_.assign(nn, 0);
     int max_k = 0;
     int max_m = 0;
     total_copies_ = 0;
@@ -184,9 +205,6 @@ class ComposedBlock {
         copy_faulty_.push_back(std::move(in_copy));
       }
     }
-    vote_B_.assign(total_copies_, 0);
-    vote_R_.assign(total_copies_, 0);
-    vote_valid_.assign(total_copies_, 0);
     vote_memo_.resize(total_copies_);
     vote_memo_used_.assign(total_copies_, 0);
     leader_.assign(static_cast<std::size_t>(max_k), 0);
@@ -201,18 +219,15 @@ class ComposedBlock {
       for (std::size_t i = 0; i < nn; ++i) decompose(states[i], l * nn + i, base_, a_, d_);
       active_ |= 1ULL << l;
     }
-    bool tower_draws = false;
     for (const ComposedLevel& lv : cc_.levels) {
-      if (lv.kind == ComposedLevel::Kind::kPulling && !lv.fixed_sampling) tower_draws = true;
+      if (lv.kind == ComposedLevel::Kind::kPulling && !lv.fixed_sampling) tower_draws_ = true;
     }
     const Adversary& probe = lanes_.probe();
     interleaved_ = !lanes_.faultless && !probe.receiver_oblivious() &&
-                   !probe.message_draw_free() && tower_draws;
-    // Transitions draw iff the tower has a fresh-sampling pulling level, so
-    // without one the profiled pass may group receivers by profile (one
-    // received-view rebuild per profile instead of per receiver) without
-    // disturbing any lane's draw sequence.
-    reorder_ok_ = !tower_draws;
+                   !probe.message_draw_free() && tower_draws_;
+    // A fault-free lane forges nothing, so its begin_round draws are
+    // observable only through a transition that reads the lane's rng.
+    idle_rounds_ = lanes_.passive_rounds || (lanes_.faultless && !tower_draws_);
 
     // Profile state starts in the 1-profile shape shared by faultless lanes
     // and receiver-oblivious adversaries; set_profiles regrows on demand.
@@ -283,7 +298,7 @@ class ComposedBlock {
         }
         lanes_.check_lane(fr, *first);
         decompose_lane_profiles(l);
-      } else if (!lanes_.passive_rounds) {
+      } else if (!idle_rounds_) {
         if (!lanes_.state_oblivious) refresh_states(l);
         lanes_.begin_round(l, round, algo_);
       }
@@ -326,9 +341,7 @@ class ComposedBlock {
       load_received(l);
       std::fill(vote_memo_used_.begin(), vote_memo_used_.end(), 0);
       for (const NodeId v : lanes_.correct) {
-        for (const NodeId u : lanes_.faulty_ids) {
-          forge_into(l, round, u, v, static_cast<std::size_t>(u), rv_base_, rv_a_, rv_d_);
-        }
+        for (const NodeId u : lanes_.faulty_ids) forge_into(l, round, u, v);
         transition_node(l, v, 0, /*memo=*/true);
       }
       commit(l);
@@ -381,6 +394,30 @@ class ComposedBlock {
     }
   }
 
+  // --- Vote digits ----------------------------------------------------------
+
+  // The inner output level `lvl` reads from node u (what block_view / the
+  // vote sampling read): the base output at level 0, else the level-below
+  // a register with ∞ read as 0. `base` and `a_below` are u's fields.
+  std::uint64_t inner_out(std::size_t lvl, NodeId u, std::uint64_t base,
+                          std::uint64_t a_below) const {
+    if (lvl > 0) return a_below == kInfinity ? 0 : a_below;
+    if (cc_.base.kind == ComposedBase::Kind::kTrivial) return base;
+    return cc_.base.table->out(cc_.base.slot[static_cast<std::size_t>(u)],
+                               static_cast<std::uint8_t>(base));
+  }
+
+  // Every level's digits of node u, from the received view into dg_.
+  void view_digits(NodeId u) {
+    const auto uu = static_cast<std::size_t>(u);
+    for (std::size_t lvl = 0; lvl < L_; ++lvl) {
+      const ComposedLevel& lv = cc_.levels[lvl];
+      const std::uint64_t out = inner_out(lvl, u, rp_base_[uu], lvl > 0 ? rp_a_[lvl - 1][uu] : 0);
+      dg_b_[lvl][uu] = lv.block_digit(u, out);
+      dg_r_[lvl][uu] = lv.round_digit(out);
+    }
+  }
+
   // --- Forged profiles ------------------------------------------------------
 
   // Grows the per-(profile, faulty sender) storage to `nprof` profiles. The
@@ -392,8 +429,7 @@ class ComposedBlock {
     pf_base_.assign(S_ * W_, 0);
     pf_a_.assign(L_, std::vector<std::uint64_t>(S_ * W_, 0));
     pf_d_.assign(L_, std::vector<std::uint8_t>(S_ * W_, 0));
-    vote_B_.assign(total_copies_ * static_cast<std::size_t>(nprof_), 0);
-    vote_R_.assign(total_copies_ * static_cast<std::size_t>(nprof_), 0);
+    vote_T_.assign(total_copies_ * static_cast<std::size_t>(nprof_), {});
     vote_valid_.assign(total_copies_ * static_cast<std::size_t>(nprof_), 0);
   }
 
@@ -409,7 +445,7 @@ class ComposedBlock {
       std::copy(fr.profile_of.begin(), fr.profile_of.end(), prof_node_.begin());
     }
     const std::vector<NodeId>& correct = lanes_.correct;
-    if (reorder_ok_ && nprof_ > 1) {
+    if (!tower_draws_ && nprof_ > 1) {
       // Counting sort of the correct receivers by profile: transitions are
       // draw-free here, so grouping rebuilds the received view once per
       // profile without changing any per-node result.
@@ -437,7 +473,8 @@ class ComposedBlock {
     }
   }
 
-  // Overwrites the received view's faulty entries with profile `pv`'s fields.
+  // Overwrites the received view's faulty entries with profile `pv`'s
+  // fields and digits.
   void apply_profile(std::size_t lane, int pv) {
     const std::vector<NodeId>& faulty_ids = lanes_.faulty_ids;
     const std::size_t off = lane * S_ + static_cast<std::size_t>(pv) * faulty_ids.size();
@@ -448,24 +485,24 @@ class ComposedBlock {
         rv_a_[lvl][dst] = pf_a_[lvl][off + k];
         rv_d_[lvl][dst] = pf_d_[lvl][off + k];
       }
+      view_digits(faulty_ids[k]);
     }
   }
 
   // --- Adversary messages (interleaved mode) --------------------------------
 
-  // Queries the adversary for (sender -> receiver) and decomposes the raw
-  // answer into slot `idx` of the target field arrays.
-  void forge_into(std::size_t lane, std::uint64_t round, NodeId sender, NodeId receiver,
-                  std::size_t idx, std::vector<std::uint64_t>& base,
-                  std::vector<std::vector<std::uint64_t>>& a,
-                  std::vector<std::vector<std::uint8_t>>& d) {
+  // Queries the adversary for (sender -> receiver) and writes the raw
+  // answer's fields and digits into the sender's slot of the received view.
+  void forge_into(std::size_t lane, std::uint64_t round, NodeId sender, NodeId receiver) {
     const State raw = lanes_.message(lane, round, sender, receiver, algo_);
-    decompose(raw, idx, base, a, d);
+    decompose(raw, static_cast<std::size_t>(sender), rv_base_, rv_a_, rv_d_);
+    view_digits(sender);
   }
 
   // Builds the received view of this lane: the master fields copied into the
-  // rv buffers, with the faulty entries overwritten afterwards (apply_profile
-  // in profiled mode, per-receiver forge_into in interleaved mode).
+  // rv buffers and the correct senders' digits, with the faulty entries
+  // written afterwards (apply_profile in profiled mode, per-receiver
+  // forge_into in interleaved mode).
   // Fault-free lanes deliver the round-start states verbatim, so the read
   // pointers alias the master slice directly -- no copy, exactly like the
   // scalar runner's faultless shortcut (the transitions write only to the
@@ -479,137 +516,100 @@ class ComposedBlock {
         rp_a_[lvl] = a_[lvl].data() + off;
         rp_d_[lvl] = d_[lvl].data() + off;
       }
-      return;
+    } else {
+      std::copy_n(base_.begin() + static_cast<std::ptrdiff_t>(off), nn, rv_base_.begin());
+      for (std::size_t lvl = 0; lvl < L_; ++lvl) {
+        std::copy_n(a_[lvl].begin() + static_cast<std::ptrdiff_t>(off), nn, rv_a_[lvl].begin());
+        std::copy_n(d_[lvl].begin() + static_cast<std::ptrdiff_t>(off), nn, rv_d_[lvl].begin());
+      }
+      rp_base_ = rv_base_.data();
+      for (std::size_t lvl = 0; lvl < L_; ++lvl) {
+        rp_a_[lvl] = rv_a_[lvl].data();
+        rp_d_[lvl] = rv_d_[lvl].data();
+      }
     }
-    std::copy_n(base_.begin() + static_cast<std::ptrdiff_t>(off), nn, rv_base_.begin());
-    for (std::size_t lvl = 0; lvl < L_; ++lvl) {
-      std::copy_n(a_[lvl].begin() + static_cast<std::ptrdiff_t>(off), nn, rv_a_[lvl].begin());
-      std::copy_n(d_[lvl].begin() + static_cast<std::ptrdiff_t>(off), nn, rv_d_[lvl].begin());
-    }
-    rp_base_ = rv_base_.data();
-    for (std::size_t lvl = 0; lvl < L_; ++lvl) {
-      rp_a_[lvl] = rv_a_[lvl].data();
-      rp_d_[lvl] = rv_d_[lvl].data();
-    }
+    for (const NodeId u : lanes_.correct) view_digits(u);
   }
 
   // --- Level kernels --------------------------------------------------------
 
-  // Output of the inner algorithm of level `lvl` at global node u, read from
-  // the received view (exactly what block_view / the vote sampling read).
-  std::uint64_t inner_out(std::size_t lvl, NodeId u) const {
-    if (lvl == 0) {
-      if (cc_.base.kind == ComposedBase::Kind::kTrivial) {
-        return rp_base_[static_cast<std::size_t>(u)];
-      }
-      return cc_.base.table->out(u % cc_.base.n,
-                                 static_cast<std::uint8_t>(rp_base_[static_cast<std::size_t>(u)]));
-    }
-    const std::uint64_t a = rp_a_[lvl - 1][static_cast<std::size_t>(u)];
-    return a == kInfinity ? 0 : a;
-  }
-
   // Full majority votes of one copy of a boosted level (paper step 3),
-  // mirroring BoostedCounter::votes on the received view.
-  void compute_votes(std::size_t lvl, int copy, std::uint64_t& B, std::uint64_t& R) {
+  // mirroring BoostedCounter::votes on the received view's digits, and the
+  // phase-king tally of the copy's received a registers under the voted
+  // instruction set: all a receiver's step reads from the copy.
+  phaseking::Tally copy_tally(std::size_t lvl, int copy) {
     const ComposedLevel& lv = cc_.levels[lvl];
-    const int first = copy * lv.n;
-    const auto tau = static_cast<std::uint64_t>(lv.tau);
-    const auto m = static_cast<std::uint64_t>(lv.m);
-    for (int u_local = 0; u_local < lv.n; ++u_local) {
-      const int blk = u_local / lv.n_inner;
-      const std::uint64_t cblk = tau * lv.pow2m[static_cast<std::size_t>(blk) + 1];
-      const std::uint64_t value = inner_out(lvl, first + u_local) % cblk;
-      r_all_[static_cast<std::size_t>(u_local)] = value % tau;
-      const std::uint64_t y = value / tau;
-      b_all_[static_cast<std::size_t>(u_local)] =
-          (y / lv.pow2m[static_cast<std::size_t>(blk)]) % m;
-    }
+    const std::size_t first = static_cast<std::size_t>(copy) * static_cast<std::size_t>(lv.n);
     const auto ni = static_cast<std::size_t>(lv.n_inner);
-    for (int blk = 0; blk < lv.k; ++blk) {
-      leader_[static_cast<std::size_t>(blk)] = boosting::strict_majority(
-          std::span<const std::uint64_t>(b_all_.data() + static_cast<std::size_t>(blk) * ni, ni),
-          m, ni / 2, scratch_);
+    const auto k = static_cast<std::size_t>(lv.k);
+    const auto m = static_cast<std::uint64_t>(lv.m);
+    const std::uint64_t* b = dg_b_[lvl].data() + first;
+    for (std::size_t blk = 0; blk < k; ++blk) {
+      leader_[blk] = boosting::strict_majority(std::span<const std::uint64_t>(b + blk * ni, ni),
+                                               m, ni / 2, scratch_);
     }
-    B = boosting::strict_majority(
-        std::span<const std::uint64_t>(leader_.data(), static_cast<std::size_t>(lv.k)), m,
-        static_cast<std::size_t>(lv.k) / 2, scratch_);
-    R = boosting::strict_majority(
-        std::span<const std::uint64_t>(r_all_.data() + static_cast<std::size_t>(B) * ni, ni),
-        tau, ni / 2, scratch_);
+    const std::uint64_t B = boosting::strict_majority(
+        std::span<const std::uint64_t>(leader_.data(), k), m, k / 2, scratch_);
+    const std::uint64_t R = boosting::strict_majority(
+        std::span<const std::uint64_t>(dg_r_[lvl].data() + first + B * ni, ni),
+        static_cast<std::uint64_t>(lv.tau), ni / 2, scratch_);
+    return phaseking::tally(
+        lv.pk, static_cast<int>(R),
+        std::span<const std::uint64_t>(rp_a_[lvl] + first, static_cast<std::size_t>(lv.n)),
+        scratch_);
   }
 
-  // Profiled-mode vote lookup: direct-indexed per (level copy, profile).
+  // Profiled-mode tally lookup: direct-indexed per (level copy, profile).
   // Copies without faulty senders read the same fields under every profile,
   // so they collapse onto the profile-0 entry.
-  void boosted_votes_profiled(std::size_t lvl, int copy, std::size_t slot, int pv,
-                              std::uint64_t& B, std::uint64_t& R) {
+  const phaseking::Tally& tally_profiled(std::size_t lvl, int copy, std::size_t slot, int pv) {
     const int p_eff = copy_faulty_[slot].empty() ? 0 : pv;
     const std::size_t cidx =
         slot * static_cast<std::size_t>(nprof_) + static_cast<std::size_t>(p_eff);
-    if (vote_valid_[cidx]) {
-      B = vote_B_[cidx];
-      R = vote_R_[cidx];
-      return;
+    if (!vote_valid_[cidx]) {
+      vote_T_[cidx] = copy_tally(lvl, copy);
+      vote_valid_[cidx] = 1;
     }
-    compute_votes(lvl, copy, B, R);
-    vote_B_[cidx] = B;
-    vote_R_[cidx] = R;
-    vote_valid_[cidx] = 1;
+    return vote_T_[cidx];
   }
 
-  // Interleaved-mode vote lookup. Per-receiver forging changes only the
+  // Interleaved-mode tally lookup. Per-receiver forging changes only the
   // faulty senders' fields, and structured equivocators send few distinct
-  // values per round, so this round's votes are memoized per (level, copy)
-  // keyed on the forged field tuple the votes actually read -- the base index
-  // for level 0, the level-below (a) register otherwise. A full key match
-  // implies identical vote inputs, so the hit path is bit-identical to
-  // recomputing.
-  void boosted_votes_memo(std::size_t lvl, int copy, std::size_t slot, std::uint64_t& B,
-                          std::uint64_t& R) {
+  // values per round, so this round's tallies are memoized per (level, copy)
+  // keyed on the forged fields they read: the votes' input (the base index
+  // for level 0, the level-below a register otherwise) and the level's own
+  // a register. A full key match implies identical inputs, so the hit path
+  // is bit-identical to recomputing.
+  const phaseking::Tally& tally_memo(std::size_t lvl, int copy, std::size_t slot) {
     key_scratch_.clear();
     for (const NodeId u : copy_faulty_[slot]) {
       const auto uu = static_cast<std::size_t>(u);
       key_scratch_.push_back(lvl == 0 ? rp_base_[uu] : rp_a_[lvl - 1][uu]);
+      key_scratch_.push_back(rp_a_[lvl][uu]);
     }
     auto& entries = vote_memo_[slot];
     std::size_t& used = vote_memo_used_[slot];
     for (std::size_t e = 0; e < used; ++e) {
-      if (entries[e].key == key_scratch_) {
-        B = entries[e].B;
-        R = entries[e].R;
-        return;
-      }
+      if (entries[e].key == key_scratch_) return entries[e].tally;
     }
-    compute_votes(lvl, copy, B, R);
     if (used == entries.size()) entries.emplace_back();
-    entries[used].key = key_scratch_;  // assignment reuses capacity
-    entries[used].B = B;
-    entries[used].R = R;
-    ++used;
+    VoteMemoEntry& entry = entries[used++];
+    entry.key = key_scratch_;  // assignment reuses capacity
+    entry.tally = copy_tally(lvl, copy);
+    return entry.tally;
   }
 
   void boosted_step(std::size_t lvl, NodeId v, int pv, bool memo) {
     const ComposedLevel& lv = cc_.levels[lvl];
-    const int copy = v / lv.n;
-    const int v_local = v % lv.n;
+    const auto vv = static_cast<std::size_t>(v);
+    const auto copy = static_cast<int>(lv.copy_of[vv]);
     const std::size_t slot = copy_base_[lvl] + static_cast<std::size_t>(copy);
-    std::uint64_t B;
-    std::uint64_t R;
-    if (memo) {
-      boosted_votes_memo(lvl, copy, slot, B, R);
-    } else {
-      boosted_votes_profiled(lvl, copy, slot, pv, B, R);
-    }
-    const std::size_t first = static_cast<std::size_t>(copy) * static_cast<std::size_t>(lv.n);
-    const std::span<const std::uint64_t> received_a(rp_a_[lvl] + first,
-                                                    static_cast<std::size_t>(lv.n));
-    const phaseking::Registers own{rp_a_[lvl][static_cast<std::size_t>(v)],
-                                   rp_d_[lvl][static_cast<std::size_t>(v)] != 0};
+    const phaseking::Tally& t = memo ? tally_memo(lvl, copy, slot)
+                                     : tally_profiled(lvl, copy, slot, pv);
     const phaseking::Registers next =
-        phaseking::step(lv.pk, static_cast<int>(R), v_local, own, received_a);
-    nb_a_[lvl][static_cast<std::size_t>(v)] = next.a;
-    nb_d_[lvl][static_cast<std::size_t>(v)] = next.d ? 1 : 0;
+        phaseking::step_tallied(lv.pk, t, {rp_a_[lvl][vv], rp_d_[lvl][vv] != 0});
+    nb_a_[lvl][vv] = next.a;
+    nb_d_[lvl][vv] = next.d ? 1 : 0;
   }
 
   // Sampled votes + sampled phase king of one pulling level (Section 5),
@@ -617,67 +617,55 @@ class ComposedBlock {
   // draw (block samples in block order, then the network sample).
   void pulling_step(std::size_t lane, std::size_t lvl, NodeId v, std::uint64_t& pulled) {
     const ComposedLevel& lv = cc_.levels[lvl];
-    const int copy = v / lv.n;
-    const int v_local = v % lv.n;
-    const int first = copy * lv.n;
+    const auto vv = static_cast<std::size_t>(v);
+    const std::size_t first = lv.copy_of[vv] * static_cast<std::size_t>(lv.n);
+    const std::size_t v_local = vv - first;
     const auto M = static_cast<std::size_t>(lv.sample_size);
-    const auto tau = static_cast<std::uint64_t>(lv.tau);
+    const auto ni = static_cast<std::size_t>(lv.n_inner);
     const auto m = static_cast<std::uint64_t>(lv.m);
 
-    util::Rng fixed_rng(util::hash_combine(lv.sampling_seed, static_cast<std::uint64_t>(v_local)));
-    util::Rng& rng = lv.fixed_sampling ? fixed_rng : lanes_.rngs[lane];
+    std::optional<util::Rng> fixed_rng;
+    if (lv.fixed_sampling) fixed_rng.emplace(util::hash_combine(lv.sampling_seed, v_local));
+    util::Rng& rng = fixed_rng ? *fixed_rng : lanes_.rngs[lane];
 
     pulled += static_cast<std::uint64_t>(lv.n_inner);  // the own-block pull (step 1)
 
-    for (int blk = 0; blk < lv.k; ++blk) {
-      std::uint32_t* sample = sample_.data() + static_cast<std::size_t>(blk) * M;
+    for (std::size_t blk = 0; blk < static_cast<std::size_t>(lv.k); ++blk) {
+      std::uint32_t* sample = sample_.data() + blk * M;
       for (std::size_t t = 0; t < M; ++t) {
-        sample[t] =
-            static_cast<std::uint32_t>(rng.next_below(static_cast<std::uint64_t>(lv.n_inner)));
+        sample[t] = static_cast<std::uint32_t>(lv.pick_in_block(rng));
       }
       pulled += M;
-      const std::uint64_t cblk = tau * lv.pow2m[static_cast<std::size_t>(blk) + 1];
-      for (std::size_t t = 0; t < M; ++t) {
-        const int u = first + blk * lv.n_inner + static_cast<int>(sample[t]);
-        const std::uint64_t out = inner_out(lvl, u) % cblk;
-        const std::uint64_t y = out / tau;
-        mvals_[t] = (y / lv.pow2m[static_cast<std::size_t>(blk)]) % m;
-      }
-      leader_[static_cast<std::size_t>(blk)] = pulling::sampled_majority(
-          std::span<const std::uint64_t>(mvals_.data(), M), m, scratch_);
+      const std::uint64_t* b = dg_b_[lvl].data() + first + blk * ni;
+      for (std::size_t t = 0; t < M; ++t) mvals_[t] = b[sample[t]];
+      leader_[blk] =
+          pulling::sampled_majority(std::span<const std::uint64_t>(mvals_.data(), M), m, scratch_);
     }
     const std::uint64_t B = pulling::sampled_majority(
         std::span<const std::uint64_t>(leader_.data(), static_cast<std::size_t>(lv.k)), m,
         scratch_);
 
-    // R: reuse block B's samples, reading the r component this time.
+    // R: reuse block B's samples, reading the r digit this time.
     {
-      const std::uint32_t* sample = sample_.data() + static_cast<std::size_t>(B) * M;
-      const std::uint64_t cblk = tau * lv.pow2m[static_cast<std::size_t>(B) + 1];
-      for (std::size_t t = 0; t < M; ++t) {
-        const int u = first + static_cast<int>(B) * lv.n_inner + static_cast<int>(sample[t]);
-        mvals_[t] = inner_out(lvl, u) % cblk % tau;
-      }
+      const std::uint32_t* sample = sample_.data() + B * M;
+      const std::uint64_t* r = dg_r_[lvl].data() + first + B * ni;
+      for (std::size_t t = 0; t < M; ++t) mvals_[t] = r[sample[t]];
     }
     const std::uint64_t R = pulling::sampled_majority(
-        std::span<const std::uint64_t>(mvals_.data(), M), tau, scratch_);
+        std::span<const std::uint64_t>(mvals_.data(), M), static_cast<std::uint64_t>(lv.tau),
+        scratch_);
 
-    for (std::size_t t = 0; t < M; ++t) {
-      const auto u = rng.next_below(static_cast<std::uint64_t>(lv.n));
-      sampled_a_[t] = rp_a_[lvl][static_cast<std::size_t>(first) + u];
-    }
+    const std::uint64_t* copy_a = rp_a_[lvl] + first;
+    for (std::size_t t = 0; t < M; ++t) sampled_a_[t] = copy_a[lv.pick_in_copy(rng)];
     pulled += M;
-    const int king = static_cast<int>(R) / 3;
-    const std::uint64_t king_a = rp_a_[lvl][static_cast<std::size_t>(first + king)];
+    const std::uint64_t king_a = copy_a[R / 3];
     pulled += 1;
 
-    const phaseking::Registers own{rp_a_[lvl][static_cast<std::size_t>(v)],
-                                   rp_d_[lvl][static_cast<std::size_t>(v)] != 0};
     const phaseking::Registers next = phaseking::step_sampled(
-        lv.pk, static_cast<int>(R), own,
+        lv.pk, static_cast<int>(R), {rp_a_[lvl][vv], rp_d_[lvl][vv] != 0},
         std::span<const std::uint64_t>(sampled_a_.data(), M), king_a);
-    nb_a_[lvl][static_cast<std::size_t>(v)] = next.a;
-    nb_d_[lvl][static_cast<std::size_t>(v)] = next.d ? 1 : 0;
+    nb_a_[lvl][vv] = next.a;
+    nb_d_[lvl][vv] = next.d ? 1 : 0;
   }
 
   void transition_node(std::size_t lane, NodeId v, int pv, bool memo) {
@@ -685,15 +673,15 @@ class ComposedBlock {
     // trivial increment, or one lookup in the shared compiled base table.
     const auto vv = static_cast<std::size_t>(v);
     if (cc_.base.kind == ComposedBase::Kind::kTrivial) {
-      nb_base_[vv] = (rp_base_[vv] + 1) % cc_.base.num_states;
+      const std::uint64_t next = rp_base_[vv] + 1;  // base indices are < num_states
+      nb_base_[vv] = next == cc_.base.num_states ? 0 : next;
     } else {
-      const int n0 = cc_.base.n;
-      const int first = (v / n0) * n0;
-      for (int s = 0; s < n0; ++s) {
-        base_idx_[static_cast<std::size_t>(s)] =
-            static_cast<std::uint8_t>(rp_base_[static_cast<std::size_t>(first + s)]);
+      const int slot = cc_.base.slot[vv];
+      const std::size_t first = vv - static_cast<std::size_t>(slot);
+      for (std::size_t s = 0; s < static_cast<std::size_t>(cc_.base.n); ++s) {
+        base_idx_[s] = static_cast<std::uint8_t>(rp_base_[first + s]);
       }
-      nb_base_[vv] = cc_.base.table->next(v % n0, base_idx_.data());
+      nb_base_[vv] = cc_.base.table->next(slot, base_idx_.data());
     }
     // Boosting levels bottom-up: the level order matches the scalar call
     // chain (each wrapper runs its inner transition before its own votes and
@@ -733,7 +721,8 @@ class ComposedBlock {
 
   detail::Lanes lanes_;
   bool interleaved_ = false;
-  bool reorder_ok_ = false;
+  bool tower_draws_ = false;  // a fresh-sampling pulling level reads the lane rng
+  bool idle_rounds_ = false;  // non-forging rounds skip begin_round
   std::uint64_t active_ = 0;  // bitmask of lanes still running
 
   // Master field representation, [lane * N + node].
@@ -744,12 +733,14 @@ class ComposedBlock {
   // Received view of the lane/receiver currently being advanced, [node]:
   // reads go through the rp_ pointers, which alias the master slice on
   // fault-free runs and the rv_ copy-with-forgeries buffers otherwise.
+  // dg_b_ / dg_r_ are the view's vote digits, [level][node].
   std::vector<std::uint64_t> rv_base_;
   std::vector<std::vector<std::uint64_t>> rv_a_;
   std::vector<std::vector<std::uint8_t>> rv_d_;
   const std::uint64_t* rp_base_ = nullptr;
   std::vector<const std::uint64_t*> rp_a_;
   std::vector<const std::uint8_t*> rp_d_;
+  std::vector<std::vector<std::uint64_t>> dg_b_, dg_r_;
 
   // Next-state fields of the lane currently being advanced, [node].
   std::vector<std::uint64_t> nb_base_;
@@ -770,19 +761,20 @@ class ComposedBlock {
   std::vector<NodeId> order_;
   std::vector<std::size_t> count_scratch_;
 
-  // Per-(level copy, profile) vote cache, valid within one profiled lane
+  // Per-(level copy, profile) tally cache, valid within one profiled lane
   // round; [slot * nprof_ + p_eff].
   std::size_t total_copies_ = 0;
   std::vector<std::size_t> copy_base_;  // [level] -> first slot of its copies
-  std::vector<std::uint64_t> vote_B_, vote_R_;
+  std::vector<phaseking::Tally> vote_T_;
   std::vector<std::uint8_t> vote_valid_;
 
-  // Per-receiver vote memo (interleaved mode), [slot]: votes computed this
-  // lane-round keyed on the copy's forged field tuple; entry storage persists
-  // across rounds so the round loop stays allocation-free once warm.
+  // Per-receiver tally memo (interleaved mode), [slot]: tallies computed
+  // this lane-round keyed on the copy's forged field tuple; entry storage
+  // persists across rounds so the round loop stays allocation-free once
+  // warm.
   struct VoteMemoEntry {
     std::vector<std::uint64_t> key;
-    std::uint64_t B = 0, R = 0;
+    phaseking::Tally tally;
   };
   std::vector<std::vector<NodeId>> copy_faulty_;  // [slot] -> faulty ids in the copy
   std::vector<std::vector<VoteMemoEntry>> vote_memo_;
@@ -790,7 +782,7 @@ class ComposedBlock {
   std::vector<std::uint64_t> key_scratch_;
 
   // Vote / sampling scratch.
-  std::vector<std::uint64_t> b_all_, r_all_, leader_, mvals_, sampled_a_, outs_;
+  std::vector<std::uint64_t> leader_, mvals_, sampled_a_, outs_;
   std::vector<std::uint32_t> sample_;
   std::vector<std::uint32_t> scratch_;
   std::array<std::uint8_t, 256> base_idx_{};

@@ -8,25 +8,33 @@
 // TrivialCounter or TableAlgorithm base) once and flattens every node state
 // into a field vector -- the base state index plus one (a, d) phase-king
 // register pair per level -- together with per-level stage metadata (block
-// geometry, moduli, (2m)^i powers, phase-king parameters).
+// geometry, exact reciprocals of the vote-digit divisors, phase-king
+// parameters).
 //
-// run_composed_batch then advances up to 64 executions per block in round
-// lockstep on that representation, in one of two modes:
+// run_composed_batch then advances blocks of up to 64 executions (the
+// engine narrows them so small groups keep every pool thread busy) in round
+// lockstep on that representation. Each lane-round builds the received view
+// once, with one vote-digit array per level (each node's block digit b and
+// round digit r, computed once per correct sender and patched at the faulty
+// slots), and rounds run in one of two modes:
 //
 //  * Profiled (the common case): the adversary's whole round is collected
 //    up front through Adversary::forge_block as a few receiver profiles
 //    plus a lane-invariant receiver-to-profile map, decomposed once per
 //    (profile, sender) instead of re-decoding BitVecs at every level of
-//    every receiver's transition. Each level's votes are computed once per
-//    level copy (receiver-oblivious adversaries) or once per (profile,
-//    copy) with memoisation keyed on the forged field tuple the votes
-//    read, and the shared phaseking::step / step_sampled glue runs per
-//    node -- zero per-round heap allocation. A table base is stepped per
-//    lane and node through the shared CompiledTable::next.
+//    every receiver's transition. Each boosted level's votes and its
+//    phase-king tally (phaseking::tally) are built once per (level copy,
+//    profile), so a receiver's phaseking::step_tallied is O(1); pulling
+//    levels sample the digit arrays and run the shared
+//    phaseking::step_sampled glue per node -- zero per-round heap
+//    allocation. A table base is stepped per lane and node through the
+//    shared CompiledTable::next.
 //
 //  * Interleaved (fresh-sampling pulling towers under adversaries whose
 //    message() draws randomness): forging stays interleaved with the
-//    per-receiver transitions, preserving the scalar draw order exactly.
+//    per-receiver transitions, preserving the scalar draw order exactly,
+//    with votes and tallies memoised per copy on the forged fields they
+//    read.
 //
 // Per-lane Rng and Adversary instances (the lane harness, sim/lanes.hpp) are
 // invoked in exactly the scalar runner's call order in both modes, so every
@@ -40,6 +48,8 @@
 #include "counting/table_algorithm.hpp"
 #include "phaseking/phase_king.hpp"
 #include "sim/batch_runner.hpp"
+#include "util/math.hpp"
+#include "util/rng.hpp"
 
 namespace synccount::sim {
 
@@ -57,8 +67,23 @@ struct ComposedLevel {
   int m = 0;        // ceil(k/2)
   int tau = 0;      // 3(F+2)
   std::uint64_t C = 0;  // output modulus of this level
-  std::vector<std::uint64_t> pow2m;  // (2m)^i, i in [0, k]
   phaseking::Params pk;
+
+  // Vote digits (paper step 3) of an inner output `out` received from
+  // global node u, whose block within its copy is blk: the round digit
+  // out mod τ and the block digit floor(out / (τ(2m)^blk)) mod m. These
+  // equal the construction's digits of out mod τ(2m)^(blk+1), because τ
+  // and τ(2m)^blk·m divide that modulus. Divisions go through exact
+  // reciprocals, so the vote path issues no hardware divide.
+  std::vector<std::uint32_t> copy_of;    // [global node] -> its copy
+  std::vector<std::uint32_t> block_of;   // [global node] -> blk
+  std::vector<util::Divisor> block_div;  // [blk] -> τ(2m)^blk
+  util::Divisor tau_div;
+  util::Divisor m_div;
+  std::uint64_t round_digit(std::uint64_t out) const noexcept { return tau_div.mod(out); }
+  std::uint64_t block_digit(int u, std::uint64_t out) const noexcept {
+    return m_div.mod(block_div[block_of[static_cast<std::size_t>(u)]].div(out));
+  }
 
   // Bit layout of this level's registers in the flat node state.
   int a_offset = 0;  // == state_bits of the level below
@@ -68,6 +93,8 @@ struct ComposedLevel {
   int sample_size = 0;
   bool fixed_sampling = false;      // SamplingMode::kFixed
   std::uint64_t sampling_seed = 0;  // per-node stream base for kFixed
+  util::BoundedDraw pick_in_block{0};  // next_below(n_inner)
+  util::BoundedDraw pick_in_copy{0};   // next_below(n)
 };
 
 struct ComposedBase {
@@ -79,8 +106,10 @@ struct ComposedBase {
   std::uint64_t num_states = 0;  // canonical index bound: c or |X|
   int bits = 0;                  // base field width in the state layout
   // kTable: the shared flat kernel (owned by the algorithm, kept alive
-  // through ComposedCompiledTable::algo).
+  // through ComposedCompiledTable::algo), and each global node's index
+  // within its base copy.
   const counting::CompiledTable* table = nullptr;
+  std::vector<std::uint8_t> slot;
 };
 
 // The compiled hierarchy. Immutable after compile; safe to share across
@@ -100,7 +129,8 @@ struct ComposedCompiledTable {
 };
 
 // Runs seeds.size() executions of the composed algorithm (internally in
-// blocks of up to 64 lanes) and returns their RunResults in seed order;
+// blocks of at most 64 lanes; the engine passes one block's worth per
+// call) and returns their RunResults in seed order;
 // result[i] is bit-identical to run_execution with seed cfg.seeds[i] and the
 // same margin. Called through run_batch, which owns the backend dispatch.
 std::vector<RunResult> run_composed_batch(const BatchConfig& cfg,

@@ -1,5 +1,6 @@
 #include "sim/engine.hpp"
 
+#include <algorithm>
 #include <atomic>
 #include <chrono>
 #include <memory>
@@ -300,11 +301,22 @@ ExperimentResult Engine::run(const ExperimentSpec& spec, const ShardPlan& shard,
 
   for (Sink* sink : sinks) sink->on_start(spec, shard);
 
-  // Lanes per batch task: table groups fill one 512-lane block
-  // (64 * default_batch_words() lanes per table pass); composed blocks are
-  // 64 lanes. Chunking at the block size keeps one task == one block.
+  // Lanes per batch task, one task == one block. Table groups fill one
+  // 512-lane block (64 * default_batch_words() lanes per table pass).
+  // Composed blocks hold up to 64 lanes, narrowed so that the shard's
+  // composed cells make at least two tasks per pool thread: a tower lane
+  // costs tens to thousands of ns per node-round, so a small group cut into
+  // a few wide blocks would leave threads idle. Lanes are independent
+  // streams, so the width never changes a result.
+  std::size_t batched_groups = 0;
+  for (std::size_t g = shard.group_begin; g < shard.group_end; ++g) {
+    if (algo_batchable && adv_batchable[g / n_pl]) ++batched_groups;
+  }
+  const auto two_per_thread = 2 * static_cast<std::size_t>(threads());
   const std::size_t chunk =
-      is_table ? 64 * static_cast<std::size_t>(default_batch_words()) : 64;
+      is_table ? 64 * static_cast<std::size_t>(default_batch_words())
+               : std::clamp<std::size_t>(
+                     (batched_groups * n_seeds + two_per_thread - 1) / two_per_thread, 1, 64);
   std::vector<std::function<void()>> tasks;
   tasks.reserve(n_cells);
   for (std::size_t g = shard.group_begin; g < shard.group_end; ++g) {

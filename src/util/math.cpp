@@ -1,5 +1,6 @@
 #include "util/math.hpp"
 
+#include <algorithm>
 #include <bit>
 #include <numeric>
 
@@ -78,6 +79,17 @@ std::uint64_t lcm_checked(std::uint64_t a, std::uint64_t b) {
   auto r = checked_mul(a / g, b);
   SC_CHECK(r.has_value(), "lcm overflows uint64");
   return *r;
+}
+
+Divisor::Divisor(std::uint64_t d) noexcept : d_(d) {
+  SC_ASSERT(d >= 1);
+  // l = ceil(log2 d); mul = floor(2^64 (2^l - d) / d) + 1, which fits in 64
+  // bits because 2^(l-1) < d <= 2^l.
+  const int l = ceil_log2(d);
+  using U128 = unsigned __int128;
+  mul_ = static_cast<std::uint64_t>((((U128{1} << l) - d) << 64) / d + 1);
+  sh1_ = std::min(l, 1);
+  sh2_ = std::max(l - 1, 0);
 }
 
 }  // namespace synccount::util

@@ -40,4 +40,29 @@ std::uint64_t ceil_div(std::uint64_t a, std::uint64_t b) noexcept;
 // Least common multiple with overflow check; throws on overflow.
 std::uint64_t lcm_checked(std::uint64_t a, std::uint64_t b);
 
+// Exact division by a divisor d >= 1 fixed up front, through one
+// multiply-high and two shifts instead of a hardware divide (Granlund and
+// Montgomery, "Division by Invariant Integers using Multiplication", 1994,
+// Fig. 4.1): div(n) == n / d and mod(n) == n % d for every 64-bit n. Hot
+// loops that reduce by the same per-level modulus many times build one of
+// these once.
+class Divisor {
+ public:
+  Divisor() noexcept = default;  // d = 1
+  explicit Divisor(std::uint64_t d) noexcept;
+
+  std::uint64_t div(std::uint64_t n) const noexcept {
+    const auto t = static_cast<std::uint64_t>(
+        (static_cast<unsigned __int128>(mul_) * n) >> 64);
+    return (t + ((n - t) >> sh1_)) >> sh2_;
+  }
+  std::uint64_t mod(std::uint64_t n) const noexcept { return n - div(n) * d_; }
+
+ private:
+  std::uint64_t d_ = 1;
+  std::uint64_t mul_ = 1;
+  int sh1_ = 0;
+  int sh2_ = 0;
+};
+
 }  // namespace synccount::util

@@ -10,6 +10,8 @@
 #include <array>
 #include <cstdint>
 
+#include "util/math.hpp"
+
 namespace synccount::util {
 
 // SplitMix64 step: used for seeding and for cheap stateless hashing.
@@ -67,6 +69,31 @@ class Rng {
   }
 
   std::array<std::uint64_t, 4> s_;
+};
+
+// Rng::next_below with the bound fixed up front: the rejection threshold
+// and the reduction's reciprocal are computed once, so a loop of draws
+// against one bound costs no division. Each call consumes exactly the draws
+// next_below(bound) would and returns the same value.
+class BoundedDraw {
+ public:
+  explicit BoundedDraw(std::uint64_t bound) noexcept
+      : bound_(bound),
+        threshold_(bound <= 1 ? 0 : (0 - bound) % bound),
+        div_(bound <= 1 ? 1 : bound) {}
+
+  std::uint64_t operator()(Rng& rng) const noexcept {
+    if (bound_ <= 1) return 0;
+    for (;;) {
+      const std::uint64_t r = rng.next_u64();
+      if (r >= threshold_) return div_.mod(r);
+    }
+  }
+
+ private:
+  std::uint64_t bound_;
+  std::uint64_t threshold_;
+  Divisor div_;
 };
 
 }  // namespace synccount::util

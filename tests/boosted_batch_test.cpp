@@ -351,17 +351,38 @@ TEST(Engine, ComposedBackendIsBitIdenticalToScalarBackend) {
 }
 
 TEST(Engine, ComposedBackendIsThreadCountIndependent) {
-  const auto spec = boosted_grid_spec();
-  const sim::Engine serial(1);
-  const sim::Engine parallel4(4);
-  const auto a = serial.run(spec);
-  const auto b = parallel4.run(spec);
-  ASSERT_EQ(a.cells.size(), b.cells.size());
-  for (std::size_t i = 0; i < a.cells.size(); ++i) {
-    EXPECT_EQ(a.cells[i].result.rounds, b.cells[i].result.rounds);
-    EXPECT_EQ(a.cells[i].result.stabilisation_round, b.cells[i].result.stabilisation_round);
+  // Every cell, pull counts included, at every pool size. Composed blocks
+  // narrow as the pool grows (from 64 lanes down to a handful), so the 40-
+  // and 64-seed fresh-sampling pulling groups run the narrow-block path,
+  // whose transitions draw from the lane rngs.
+  std::vector<sim::ExperimentSpec> specs = {boosted_grid_spec()};
+  for (const int seeds : {40, 64}) {
+    sim::ExperimentSpec spec;
+    spec.algo = pulling_counter(8, pulling::SamplingMode::kFresh);
+    spec.adversaries = {"silent", "split"};
+    spec.placements = {{"spread", sim::faults_spread(4, 1)}};
+    spec.seeds = seeds;
+    spec.max_rounds = 80;
+    spec.margin = 20;
+    specs.push_back(spec);
   }
-  expect_same_aggregate(a.total, b.total);
+  for (const sim::ExperimentSpec& spec : specs) {
+    const auto reference = sim::Engine(1).run(spec);
+    for (const int threads : {2, 3, 4, 8}) {
+      const auto got = sim::Engine(threads).run(spec);
+      const std::string context =
+          "seeds=" + std::to_string(spec.seeds) + "/threads=" + std::to_string(threads);
+      EXPECT_EQ(got.batched_cells, reference.batched_cells) << context;
+      ASSERT_EQ(got.cells.size(), reference.cells.size()) << context;
+      for (std::size_t i = 0; i < got.cells.size(); ++i) {
+        EXPECT_EQ(got.cells[i].seed, reference.cells[i].seed) << context;
+        expect_same_run(got.cells[i].result, reference.cells[i].result,
+                        context + "/cell=" + std::to_string(i));
+      }
+      expect_same_aggregate(got.total, reference.total);
+    }
+  }
+  EXPECT_EQ(sim::Engine(1).run(specs[1]).batched_cells, 2u * 40u);
 }
 
 TEST(Engine, PerSeedVariantAxisMatchesScalarRuns) {

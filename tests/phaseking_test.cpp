@@ -4,6 +4,10 @@
 // every instruction set), under adversarial Byzantine behaviour.
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <utility>
+#include <vector>
+
 #include "phaseking/consensus.hpp"
 #include "phaseking/phase_king.hpp"
 #include "util/rng.hpp"
@@ -137,6 +141,49 @@ TEST(PhaseKingStep, I2InfiniteKingGivesDeterministicValue) {
 }
 
 // --- Lemma 5: agreement persists under every instruction set ----------------
+
+// --- Shared tallies ---------------------------------------------------------
+
+TEST(PhaseKingTally, TalliedStepEqualsStep) {
+  // Random received vectors over a few distinct values (so quorums, frequent
+  // values and their absence all occur), with ∞ and the transient value C
+  // mixed in; every instruction set; own.a both one of the received values
+  // and absent from them, with d both ways.
+  synccount::util::Rng rng(0x7a11);
+  std::vector<std::uint32_t> scratch;
+  for (const std::uint64_t C : {2ULL, 10ULL, 1728ULL}) {
+    for (const auto& [N, F] : {std::pair{4, 1}, std::pair{7, 2}, std::pair{12, 3},
+                               std::pair{36, 7}}) {
+      const Params p = params(N, F, C);
+      for (int trial = 0; trial < 60; ++trial) {
+        std::uint64_t pool[3];
+        for (std::uint64_t& x : pool) {
+          const std::uint64_t r = rng.next_below(8);
+          x = r == 0 ? kInfinity : (r == 1 ? C : rng.next_below(C));
+        }
+        std::vector<std::uint64_t> recv(static_cast<std::size_t>(N));
+        const std::uint64_t mix = rng.next_below(4);  // 0: unanimous
+        for (std::uint64_t& a : recv) a = pool[rng.next_below(4) < mix ? rng.next_below(3) : 0];
+        std::vector<std::uint64_t> owns(recv.begin(), recv.end());
+        for (const std::uint64_t cand : {std::uint64_t{0}, C - 1, C, kInfinity}) {
+          if (std::find(recv.begin(), recv.end(), cand) == recv.end()) owns.push_back(cand);
+        }
+        for (int index = 0; index < p.tau(); ++index) {
+          const Tally t = tally(p, index, recv, scratch);
+          for (std::size_t i = 0; i < owns.size(); ++i) {
+            for (const bool d : {false, true}) {
+              const Registers own{owns[i], d};
+              const int v = static_cast<int>(std::min<std::size_t>(i, recv.size() - 1));
+              ASSERT_EQ(step_tallied(p, t, own), step(p, index, v, own, recv))
+                  << "C=" << C << " N=" << N << " index=" << index << " own.a=" << own.a;
+            }
+          }
+        }
+        ASSERT_TRUE(std::all_of(scratch.begin(), scratch.end(), [](std::uint32_t z) { return z == 0; }));
+      }
+    }
+  }
+}
 
 TEST(PhaseKingLemma5, AgreementPersistsThroughAllInstructions) {
   const Params p = params(7, 2, 12);

@@ -101,6 +101,19 @@ TEST(Rng, BernoulliExtremes) {
   }
 }
 
+TEST(Rng, BoundedDrawReproducesNextBelow) {
+  // Same values and the same draws consumed, rejections included: 2^63+1
+  // rejects about half of all raw draws.
+  for (const std::uint64_t bound : {0ULL, 1ULL, 2ULL, 3ULL, 4ULL, 12ULL, (1ULL << 32) + 1,
+                                    (1ULL << 63) + 1}) {
+    Rng a(0xb0b0 + bound);
+    Rng b(0xb0b0 + bound);
+    const BoundedDraw draw(bound);
+    for (int i = 0; i < 2000; ++i) ASSERT_EQ(draw(b), a.next_below(bound)) << bound;
+    EXPECT_EQ(a.next_u64(), b.next_u64()) << bound;
+  }
+}
+
 // --- BitVec ------------------------------------------------------------
 
 TEST(BitVec, SetGetRoundTripSingleWord) {
@@ -247,6 +260,31 @@ TEST(Math, Lcm) {
   EXPECT_EQ(lcm_checked(4, 6), 12u);
   EXPECT_EQ(lcm_checked(7, 13), 91u);
   EXPECT_THROW(lcm_checked(~0ULL, ~0ULL - 1), std::invalid_argument);
+}
+
+TEST(Math, DivisorMatchesHardwareDivision) {
+  constexpr std::uint64_t kMax = ~0ULL;
+  std::vector<std::uint64_t> divisors = {1,          2,          3,           5,
+                                         7,          10,         12,          27,
+                                         64,         1000,       1728,        (1ULL << 31) - 1,
+                                         kMax >> 32, 1ULL << 32, (1ULL << 32) + 1,
+                                         kMax >> 1,  1ULL << 63, (1ULL << 63) + 1,
+                                         kMax - 1,   kMax};
+  Rng rng(0xd1d);
+  for (int i = 0; i < 200; ++i) divisors.push_back((rng.next_u64() >> rng.next_below(64)) | 1);
+  for (const std::uint64_t d : divisors) {
+    const Divisor div(d);
+    std::vector<std::uint64_t> ns = {0,          1,          d - 1,      d,
+                                     d + 1,      2 * d - 1,  2 * d,      (1ULL << 32) - 1,
+                                     1ULL << 32, (1ULL << 32) + 1, kMax - 1, kMax,
+                                     kMax - d,   kMax / d * d, kMax / d * d - 1};
+    for (int i = 0; i < 50; ++i) ns.push_back(rng.next_u64() >> rng.next_below(64));
+    for (const std::uint64_t n : ns) {
+      ASSERT_EQ(div.div(n), n / d) << n << " / " << d;
+      ASSERT_EQ(div.mod(n), n % d) << n << " % " << d;
+    }
+  }
+  EXPECT_EQ(Divisor().div(kMax), kMax);  // default: d = 1
 }
 
 // --- stats -------------------------------------------------------------
