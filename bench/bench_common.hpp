@@ -64,7 +64,7 @@ class Harness {
   //   --trace=FILE             per-execution trace streamed to disk; `label`
   //                            is inserted before the extension so multiple
   //                            experiments never clobber one file
-  //                            (--trace-format=jsonl|csv, --trace-outputs)
+  //                            (--trace-format=jsonl|bin, --trace-outputs)
   //   --emit-spec=PREFIX       write PREFIX<label>.json (a synccount-spec
   //                            file; experiments whose algorithm cannot be
   //                            serialised warn and skip the file)
@@ -78,12 +78,9 @@ class Harness {
       cfg.outputs = cli_.get_bool("trace-outputs");
       // Validate here: bench mains have no catch-all, so a throwing
       // TraceSink constructor would abort instead of exiting cleanly.
-      if (cfg.format != "jsonl" && cfg.format != "csv") {
-        std::cerr << "unknown trace format: " << cfg.format << " (want jsonl|csv)\n";
-        std::exit(2);
-      }
-      if (cfg.outputs && cfg.format == "csv") {
-        std::cerr << "--trace-outputs requires --trace-format=jsonl\n";
+      if (const std::string error = sim::trace_format_error(cfg.format, cfg.outputs);
+          !error.empty()) {
+        std::cerr << error << "\n";
         std::exit(2);
       }
       spec.sinks.push_back(std::move(cfg));

@@ -67,13 +67,13 @@ enum class Backend {
 // `path + ".shard<i>"` so concurrent workers never share a file.
 struct SinkConfig {
   enum class Kind {
-    kTrace,       // stream one line per execution to `path` (jsonl or csv)
+    kTrace,       // stream one row per execution to `path` (jsonl or bin)
     kProgress,    // per-group progress lines on stderr
     kCheckpoint,  // append shard partials to `path` as groups complete
   };
   Kind kind = Kind::kTrace;
   std::string path;              // trace / checkpoint target file
-  std::string format = "jsonl";  // trace: "jsonl" | "csv" | "bin" (columnar)
+  std::string format = "jsonl";  // trace: "jsonl" | "bin" (trace_format_error)
   bool outputs = false;          // trace: embed per-round outputs (jsonl only)
 };
 

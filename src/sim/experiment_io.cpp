@@ -14,6 +14,7 @@
 #include <sstream>
 
 #include "counting/algorithm_spec.hpp"
+#include "sim/sink.hpp"
 #include "util/check.hpp"
 #include "util/crc32.hpp"
 #include "util/fault_injector.hpp"
@@ -117,8 +118,8 @@ SinkConfig sink_config_from_json(const util::Json& j) {
     cfg.path = j.at("path").as_string();
     cfg.format = j.at("format").as_string();
     cfg.outputs = j.at("outputs").as_bool();
-    SC_CHECK(cfg.format == "jsonl" || cfg.format == "csv" || cfg.format == "bin",
-             "unknown trace format: " + cfg.format);
+    const std::string error = trace_format_error(cfg.format, cfg.outputs);
+    SC_CHECK(error.empty(), cfg.path + ": " + error);
   } else if (kind == "progress") {
     cfg.kind = SinkConfig::Kind::kProgress;
   } else if (kind == "checkpoint") {

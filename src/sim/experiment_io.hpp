@@ -3,9 +3,8 @@
 // One huge experiment grid is split into ShardPlans (whole (adversary,
 // placement) cell-groups, engine.hpp) and farmed out to worker processes;
 // each worker serialises its partial result to a line-oriented JSON file and
-// an orchestrator -- `synccount_cli merge`, or the forking path inside
-// `synccount_cli sweep --shards=K` -- folds the partials back together.
-// Multi-machine runs are the same flow with a file copy in the middle.
+// `synccount_cli merge` folds the partials back together. Multi-machine
+// runs are the same flow with a file copy in the middle.
 //
 // A partial file is plain JSONL (util/json.hpp):
 //

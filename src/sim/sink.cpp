@@ -11,14 +11,6 @@
 
 namespace synccount::sim {
 
-namespace {
-
-// Shortest-round-trip double rendering shared with the wire format, so trace
-// files are byte-stable across platforms with the same fp behaviour.
-std::string fmt_number(double v) { return util::Json::number(v).dump(); }
-
-}  // namespace
-
 // --- MemorySink --------------------------------------------------------------
 
 void MemorySink::on_cell(const CellOutcome& cell) { cells_.push_back(cell); }
@@ -35,18 +27,22 @@ AggregateResult MemorySink::total() const {
 
 // --- TraceSink ---------------------------------------------------------------
 
+std::string trace_format_error(const std::string& format, bool outputs) {
+  if (format != "jsonl" && format != "bin") {
+    return "unknown trace format: " + format + " (want jsonl|bin)";
+  }
+  if (outputs && format != "jsonl") return "per-round outputs require the jsonl trace format";
+  return "";
+}
+
 TraceSink::TraceSink(std::string path, std::string format, bool outputs, bool resume)
     : path_(std::move(path)),
-      format_(format == "csv" ? Format::kCsv
-              : format == "bin" ? Format::kBin
-                                : Format::kJsonl),
+      format_(format == "bin" ? Format::kBin : Format::kJsonl),
       outputs_(outputs),
       resume_(resume) {
-  SC_CHECK(format == "jsonl" || format == "csv" || format == "bin",
-           "unknown trace format: " + format);
   SC_CHECK(!path_.empty(), "trace sink needs a path");
-  SC_CHECK(format_ == Format::kJsonl || !outputs_,
-           "per-round outputs require the jsonl trace format");
+  const std::string error = trace_format_error(format, outputs_);
+  SC_CHECK(error.empty(), path_ + ": " + error);
 }
 
 TraceSink::~TraceSink() = default;
@@ -55,22 +51,16 @@ void TraceSink::on_start(const ExperimentSpec& spec, const ShardPlan& plan) {
   (void)plan;
   grid_names(spec, adversaries_, placements_);
   out_ = std::make_unique<AtomicAppender>(path_, resume_, "sink.trace");
-  // Formats with a file prologue (CSV column header, binary header block)
-  // write it on a fresh or still-empty file only; a resumed non-empty file
-  // already starts with it.
+  // The binary format's header block is written on a fresh or still-empty
+  // file only; a resumed non-empty file already starts with it.
   std::error_code ec;
   const std::uintmax_t existing = resume_ ? std::filesystem::file_size(path_, ec) : 0;
   const bool fresh = !resume_ || ec || existing == 0;
-  if (format_ == Format::kCsv && fresh) {
-    out_->append(
-        "cell,adversary,placement,seed_index,seed,rounds,stabilised,"
-        "stabilisation_round,suffix_length,max_window,max_pulls,avg_pulls\n");
-  }
   if (format_ == Format::kBin && fresh) {
     out_->append(encode_trace_header({adversaries_, placements_}));
   }
   // Commit now: trace sinks start before checkpoint sinks (make_sinks order),
-  // so once a checkpoint header exists on disk the CSV header does too --
+  // so once a checkpoint header exists on disk the bin header does too --
   // otherwise a worker killed before the first group would leave a
   // checkpoint that resume validates against an empty trace file.
   out_->commit();
@@ -94,16 +84,6 @@ void TraceSink::on_cell(const CellOutcome& cell) {
     row.max_pulls = r.max_pulls_per_round;
     row.avg_pulls = r.avg_pulls_per_round;
     pending_.push_back(row);
-    return;
-  }
-  std::ostringstream row;
-  if (format_ == Format::kCsv) {
-    row << cell.cell_index << ',' << adversaries_[cell.adversary] << ','
-        << placements_[cell.placement] << ',' << cell.seed_index << ',' << cell.seed
-        << ',' << r.rounds << ',' << (r.stabilised ? 1 : 0) << ','
-        << r.stabilisation_round << ',' << r.suffix_length << ',' << r.max_window << ','
-        << r.max_pulls_per_round << ',' << fmt_number(r.avg_pulls_per_round) << '\n';
-    out_->append(row.str());
     return;
   }
   using util::Json;

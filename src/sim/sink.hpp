@@ -23,9 +23,9 @@
 //   RecordSink      records per-round outputs/states into the returned
 //                   ExperimentResult cells (replaces the old
 //                   ExperimentSpec::record_outputs/record_states flags)
-//   TraceSink       streams one line per execution (JSONL or CSV) to disk;
-//                   stabilisation-time distributions of huge grids plot from
-//                   the file instead of from buffered RunResults
+//   TraceSink       streams one row per execution (JSONL or columnar bin)
+//                   to disk; stabilisation-time distributions of huge grids
+//                   plot from the file instead of from buffered RunResults
 //   ProgressSink    one line per finished group on a stream (stderr)
 //   CheckpointSink  appends shard-partial lines (the experiment_io wire
 //                   format) as groups complete and flushes each one, so a
@@ -116,23 +116,30 @@ class RecordSink final : public Sink {
   bool states_;
 };
 
+// The one list of trace formats TraceSink writes: "jsonl" and "bin", with
+// per-round `outputs` in jsonl only. Returns "" when (`format`, `outputs`)
+// is accepted, else the reason; TraceSink, the spec decoder and the CLI and
+// bench flag parsers all check through here.
+std::string trace_format_error(const std::string& format, bool outputs);
+
 // Streams one row per execution. JSONL lines carry the full RunResult
-// summary (and the per-round outputs when `outputs` is set); CSV carries the
-// summary columns only; "bin" writes the columnar binary format of
-// sim/trace_format.hpp (one CRC-framed block per group, ~10x smaller than
-// JSONL at scale). File contents are bit-identical across thread counts
-// and execution backends in every format. Rows are committed at group
-// boundaries via AtomicAppender (temp-file + fsync + atomic rename, before
-// any checkpoint sink records the group -- make_sinks orders checkpoints
-// last), so the published file never holds a torn or partial-group tail: a
-// kill costs exactly the uncommitted group. `resume` adopts the existing
+// summary (and the per-round outputs when `outputs` is set); "bin" writes
+// the summary in the columnar binary format of sim/trace_format.hpp (one
+// CRC-framed block per group, ~10x smaller than JSONL at scale). File
+// contents are bit-identical across thread counts and execution backends
+// in every format. Rows are committed at group boundaries via
+// AtomicAppender (temp-file + fsync + atomic rename, before any checkpoint
+// sink records the group -- make_sinks orders checkpoints last), so the
+// published file never holds a torn or partial-group tail: a kill costs
+// exactly the uncommitted group. `resume` adopts the existing
 // file after the caller truncated it to the checkpointed prefix
 // (truncate_to_lines / truncate_to_blocks -- only pre-v3 legacy files can
 // still need the torn-tail surgery).
 class TraceSink final : public Sink {
  public:
-  // `format` is "jsonl", "csv" or "bin"; throws on anything else or when
-  // the file cannot be opened (at on_start).
+  // Throws std::invalid_argument naming `path` when trace_format_error
+  // rejects (`format`, `outputs`), and when the file cannot be opened (at
+  // on_start).
   TraceSink(std::string path, std::string format = "jsonl", bool outputs = false,
             bool resume = false);
   ~TraceSink() override;
@@ -144,7 +151,7 @@ class TraceSink final : public Sink {
   void on_done(const ExperimentResult& result) override;
 
  private:
-  enum class Format { kJsonl, kCsv, kBin };
+  enum class Format { kJsonl, kBin };
 
   std::string path_;
   Format format_;
@@ -203,7 +210,7 @@ class CheckpointSink final : public Sink {
 
 // The file a per-shard sink config writes: `cfg.path` for a single-process
 // plan, `cfg.path + ".shard<i>"` when plan.shards > 1 (concurrent workers
-// must not share a file; the orchestrator merges afterwards).
+// must not share a file; `merge` folds their partials afterwards).
 std::string sink_path(const SinkConfig& cfg, const ShardPlan& plan);
 
 // Instantiates the spec's configured sinks for one shard, checkpoint sinks

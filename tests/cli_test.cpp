@@ -3,23 +3,29 @@
 // tests skip when it is absent, e.g. when only the test targets were built).
 // Covered: strict flag rejection (exit status 2), the declarative
 // plan-emit / sweep --spec flow reproducing an in-process run bit-
-// identically, and the checkpoint --resume cycle.
+// identically, the checkpoint --resume cycle, and `run` against a direct
+// sim::run_execution.
 #include <gtest/gtest.h>
 
 #include <sys/wait.h>
 #include <unistd.h>
 
+#include <algorithm>
 #include <cstdio>
 #include <cstdlib>
 #include <filesystem>
 #include <fstream>
 #include <sstream>
 
+#include "boosting/planner.hpp"
 #include "counting/algorithm_spec.hpp"
 #include "sat/dimacs.hpp"
+#include "sim/adversaries.hpp"
 #include "sim/engine.hpp"
 #include "sim/experiment_io.hpp"
 #include "sim/faults.hpp"
+#include "sim/runner.hpp"
+#include "sim/trace_format.hpp"
 #include "synthesis/encoder.hpp"
 #include "util/json.hpp"
 
@@ -38,11 +44,11 @@ const char* cli_binary() { return std::getenv("SYNCCOUNT_CLI"); }
     }                                                                       \
   } while (false)
 
-// Runs `<cli> args...` with stdout/stderr silenced; returns the exit status
-// (or -1 when the process did not exit normally).
-int run_cli(const std::string& args) {
+// Runs `<cli> args...` with stdout silenced and stderr sent to `err_path`;
+// returns the exit status (or -1 when the process did not exit normally).
+int run_cli(const std::string& args, const std::string& err_path = "/dev/null") {
   const std::string cmd =
-      std::string(cli_binary()) + " " + args + " >/dev/null 2>/dev/null";
+      std::string(cli_binary()) + " " + args + " >/dev/null 2>" + err_path;
   const int rc = std::system(cmd.c_str());
   if (rc == -1 || !WIFEXITED(rc)) return -1;
   return WEXITSTATUS(rc);
@@ -104,6 +110,93 @@ TEST(Cli, UnknownFlagsAndSubcommandsExitWithStatus2) {
   EXPECT_EQ(run_cli(""), 2);                                // no command at all
   EXPECT_EQ(run_cli("sweep --spec=x.json --seeds=3"), 2);   // grid flag vs --spec
   EXPECT_EQ(run_cli("sweep --resume --table=3states"), 2);  // --resume without --spec
+  EXPECT_EQ(run_cli("synthesize --n=4 --f=1"), 2);         // retired: use `synth`
+}
+
+TEST(Cli, RetiredCsvTracesAndForkingShardsExitWithStatus2) {
+  REQUIRE_CLI();
+  TempDir dir;
+  const std::string err = dir.file("err.txt");
+  EXPECT_EQ(run_cli("sweep --table=3states --seeds=2 --trace=" + dir.file("t.csv") +
+                    " --trace-format=csv"),
+            2);
+  EXPECT_EQ(run_cli("plan --table=3states --trace=" + dir.file("t.csv") +
+                    " --trace-format=csv --emit=" + dir.file("spec.json")),
+            2);
+  EXPECT_FALSE(std::filesystem::exists(dir.file("t.csv")));
+
+  // --shards=K without --shard no longer forks local workers; the error
+  // points at the ways that remain.
+  EXPECT_EQ(run_cli("sweep --table=3states --seeds=2 --shards=3", err), 2);
+  const std::string message = slurp(err);
+  EXPECT_NE(message.find("--shard=i"), std::string::npos) << message;
+  EXPECT_NE(message.find("merge"), std::string::npos) << message;
+  EXPECT_NE(message.find("synccount_serve"), std::string::npos) << message;
+  {
+    std::ofstream out(dir.file("spec.json"));
+    write_spec_file(out, reference_spec());
+  }
+  EXPECT_EQ(run_cli("sweep --spec=" + dir.file("spec.json") + " --shards=3 --emit=" +
+                    dir.file("out.jsonl")),
+            2);
+  EXPECT_FALSE(std::filesystem::exists(dir.file("out.jsonl")));
+}
+
+// --- run ---------------------------------------------------------------------
+
+TEST(Cli, RunWritesOneJsonlRowMatchingADirectExecution) {
+  REQUIRE_CLI();
+  TempDir dir;
+  struct Case {
+    std::string args;
+    int f;
+    std::string adversary;
+    bool blocks;  // `run`'s default placement, applicable from f = 2 on
+  };
+  for (const Case& c : {Case{"--f=1", 1, "split", false},
+                        Case{"--f=2 --adversary=silent", 2, "silent", true}}) {
+    SCOPED_TRACE(c.args);
+    // The execution `run` always described: practical plan (modulus 16),
+    // seed 1, horizon T bound + 300, stabilisation margin 100.
+    const auto algo = boosting::build_plan(boosting::plan_practical(c.f, 16));
+    const int n = algo->num_nodes();
+    sim::RunConfig cfg;
+    cfg.algo = algo;
+    cfg.faulty = c.blocks ? sim::faults_block_concentrated(3, n / 3, (c.f - 1) / 2, c.f)
+                          : sim::faults_spread(n, c.f);
+    cfg.max_rounds = algo->stabilisation_bound().value() + 300;
+    cfg.seed = 1;
+    cfg.record_outputs = true;
+    const auto adversary = sim::make_adversary(c.adversary);
+    const sim::RunResult ref = sim::run_execution(cfg, *adversary, 100);
+
+    const std::string trace = dir.file("run-f" + std::to_string(c.f) + ".jsonl");
+    ASSERT_EQ(run_cli("run " + c.args + " --trace=" + trace), ref.stabilised ? 0 : 1);
+    const std::string text = slurp(trace);
+    ASSERT_EQ(std::count(text.begin(), text.end(), '\n'), 1) << text;
+    const util::Json row = util::Json::parse(text);
+    EXPECT_EQ(row.at("adversary").as_string(), c.adversary);
+    EXPECT_EQ(row.at("placement").as_string(), c.blocks ? "blocks" : "spread");
+    EXPECT_EQ(row.at("seed").as_u64(), 1u);
+    EXPECT_EQ(row.at("rounds").as_u64(), ref.rounds);
+    EXPECT_EQ(row.at("stabilisation_round").as_u64(), ref.stabilisation_round);
+
+    std::vector<counting::NodeId> ids;
+    const util::Json& ids_json = row.at("correct_ids");
+    for (std::size_t i = 0; i < ids_json.size(); ++i) {
+      ids.push_back(static_cast<counting::NodeId>(ids_json.at(i).as_i64()));
+    }
+    EXPECT_EQ(ids, ref.correct_ids);
+    std::vector<std::vector<std::uint64_t>> outputs;
+    const util::Json& outputs_json = row.at("outputs");
+    for (std::size_t r = 0; r < outputs_json.size(); ++r) {
+      outputs.emplace_back();
+      for (std::size_t i = 0; i < outputs_json.at(r).size(); ++i) {
+        outputs.back().push_back(outputs_json.at(r).at(i).as_u64());
+      }
+    }
+    EXPECT_EQ(outputs, ref.outputs);
+  }
 }
 
 // --- Declarative spec flow ---------------------------------------------------
@@ -192,19 +285,19 @@ TEST(Cli, ResumeCompletesAKilledRunByteIdentically) {
   EXPECT_EQ(slurp(ck), reference);
 }
 
-TEST(Cli, ResumeWorksFromAHeaderOnlyCheckpointWithCsvTrace) {
-  // The worst kill window: the worker died after flushing the checkpoint
-  // header but before finishing any group. The CSV trace then holds only
-  // its (flushed-at-start) header line, and resume must re-run everything
+TEST(Cli, ResumeWorksFromAHeaderOnlyCheckpointWithBinTrace) {
+  // The worst kill window: the worker died after committing the checkpoint
+  // header but before finishing any group. The bin trace then holds only
+  // its (committed-at-start) header block, and resume must re-run everything
   // and still converge to the uninterrupted bytes.
   REQUIRE_CLI();
   TempDir dir;
   const std::string spec_path = dir.file("spec.json");
   const std::string ck = dir.file("ck.jsonl");
-  const std::string tr = dir.file("tr.csv");
+  const std::string tr = dir.file("tr.bin");
   {
     auto spec = reference_spec(ck);
-    spec.sinks.push_back({sim::SinkConfig::Kind::kTrace, tr, "csv", false});
+    spec.sinks.push_back({sim::SinkConfig::Kind::kTrace, tr, "bin", false});
     std::ofstream out(spec_path);
     write_spec_file(out, spec);
   }
@@ -212,8 +305,15 @@ TEST(Cli, ResumeWorksFromAHeaderOnlyCheckpointWithCsvTrace) {
   const std::string ck_reference = slurp(ck);
   const std::string tr_reference = slurp(tr);
 
-  sim::truncate_to_lines(ck, 1);  // header only: zero groups finished
-  sim::truncate_to_lines(tr, 1);  // CSV header only
+  sim::truncate_to_lines(ck, 1);   // header only: zero groups finished
+  sim::truncate_to_blocks(tr, 1);  // bin header block only
+  ASSERT_EQ(run_cli("sweep --spec=" + spec_path + " --resume --threads=2"), 0);
+  EXPECT_EQ(slurp(ck), ck_reference);
+  EXPECT_EQ(slurp(tr), tr_reference);
+
+  // A trace ahead of its checkpoint (killed between the two commits of a
+  // group boundary): resume cuts the trace back to the checkpointed groups.
+  sim::truncate_to_lines(ck, 3);  // header + 2 groups; the trace keeps all 6
   ASSERT_EQ(run_cli("sweep --spec=" + spec_path + " --resume --threads=2"), 0);
   EXPECT_EQ(slurp(ck), ck_reference);
   EXPECT_EQ(slurp(tr), tr_reference);

@@ -122,6 +122,19 @@ TEST(SpecFile, RejectsEmptyWrongFormatAndUnknownVersion) {
   expect_read_spec_throws(text, "unsupported spec version");
 }
 
+TEST(SpecFile, RejectsUnknownTraceFormatsNamingTheTraceFile) {
+  sim::ExperimentSpec spec = small_spec();
+  spec.sinks.push_back({sim::SinkConfig::Kind::kTrace, "tr.csv", "jsonl", false});
+  const std::string text = spec_file_text(spec);
+  const std::string jsonl = "\"format\":\"jsonl\"";
+  ASSERT_NE(text.find(jsonl), std::string::npos);
+  for (const char* format : {"csv", "xml"}) {
+    std::string bad = text;
+    bad.replace(bad.find(jsonl), jsonl.size(), "\"format\":\"" + std::string(format) + "\"");
+    expect_read_spec_throws(bad, "tr.csv: unknown trace format: " + std::string(format));
+  }
+}
+
 TEST(SpecFile, RejectsTruncatedJson) {
   const std::string text = spec_file_text(small_spec());
   expect_read_spec_throws(text.substr(0, text.size() / 2), "bad JSON");

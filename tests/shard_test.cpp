@@ -235,7 +235,7 @@ TEST(ExperimentSpecCodec, RoundTripPreservesEveryField) {
   spec.extra_rounds = 123;
   spec.horizon_override = 9999;
   spec.backend = sim::Backend::kScalar;
-  spec.sinks.push_back({sim::SinkConfig::Kind::kTrace, "t.jsonl", "csv", false});
+  spec.sinks.push_back({sim::SinkConfig::Kind::kTrace, "t.bin", "bin", false});
   spec.sinks.push_back({sim::SinkConfig::Kind::kProgress, "", "jsonl", false});
   spec.sinks.push_back({sim::SinkConfig::Kind::kCheckpoint, "ck.jsonl", "jsonl", false});
   spec.initial.resize(4);

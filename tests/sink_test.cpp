@@ -250,10 +250,6 @@ TEST(TraceSink, BitIdenticalAcrossBackendsAndThreads_BitSlicedJsonl) {
   expect_trace_invariant(table_spec(), "jsonl", /*outputs=*/false);
 }
 
-TEST(TraceSink, BitIdenticalAcrossBackendsAndThreads_Csv) {
-  expect_trace_invariant(table_spec(), "csv", /*outputs=*/false);
-}
-
 TEST(TraceSink, BitIdenticalAcrossBackendsAndThreads_ComposedBin) {
   expect_trace_invariant(mixed_backend_spec(), "bin", /*outputs=*/false);
 }
@@ -355,23 +351,16 @@ TEST(TraceSink, BinResumeProducesByteIdenticalFiles) {
   EXPECT_THROW(sim::truncate_to_blocks(trace.path, 2 + G), std::invalid_argument);
 }
 
-TEST(TraceSink, CsvHasHeaderAndOneRowPerCell) {
-  const auto spec = table_spec();
-  TempFile trace("trace-csv");
-  sim::TraceSink sink(trace.path, "csv");
-  const sim::Engine engine(2);
-  const auto result = engine.run(spec, {&sink});
-  const std::string bytes = slurp(trace.path);
-  const std::size_t lines =
-      static_cast<std::size_t>(std::count(bytes.begin(), bytes.end(), '\n'));
-  EXPECT_EQ(lines, result.cells.size() + 1);
-  EXPECT_EQ(bytes.rfind("cell,adversary,placement", 0), 0u);
-}
-
-TEST(TraceSink, RejectsCsvWithOutputs) {
-  EXPECT_THROW(sim::TraceSink("x.csv", "csv", /*outputs=*/true), std::invalid_argument);
+TEST(TraceSink, RejectsUnknownFormatsAndBinWithOutputs) {
   EXPECT_THROW(sim::TraceSink("x.bin", "bin", /*outputs=*/true), std::invalid_argument);
   EXPECT_THROW(sim::TraceSink("x", "xml"), std::invalid_argument);
+  // CSV traces were retired: the error names the file that asked for one.
+  try {
+    sim::TraceSink("x.csv", "csv");
+    ADD_FAILURE() << "csv trace format accepted";
+  } catch (const std::invalid_argument& e) {
+    EXPECT_NE(std::string(e.what()).find("x.csv"), std::string::npos) << e.what();
+  }
 }
 
 // --- Checkpoint / resume -----------------------------------------------------
@@ -487,7 +476,7 @@ TEST(MakeSinks, InstantiatesConfigsWithCheckpointLast) {
   TempFile ck("cfg-ck");
   sim::ExperimentSpec spec = table_spec();
   spec.sinks.push_back({sim::SinkConfig::Kind::kCheckpoint, ck.path, "jsonl", false});
-  spec.sinks.push_back({sim::SinkConfig::Kind::kTrace, trace.path, "csv", false});
+  spec.sinks.push_back({sim::SinkConfig::Kind::kTrace, trace.path, "bin", false});
 
   const auto plan = sim::plan_shards(spec, 1, 0);
   const auto sinks = sim::make_sinks(spec, plan);

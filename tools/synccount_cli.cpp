@@ -6,7 +6,9 @@
 //                             without running it, plus the shard plan)
 //   synccount_cli run         --f=3 [--modulus=16] [--adversary=split]
 //                             [--placement=blocks|spread] [--seed=S]
-//                             [--rounds=N] [--trace=out.csv]
+//                             [--rounds=N] [--trace=out.jsonl]  (one
+//                             execution: a one-cell sweep, the trace row
+//                             carries the per-round outputs)
 //   synccount_cli sweep       --f=3 [--modulus=16] [--seeds=5] [--threads=N]
 //                             [--table=3states|4states|file.table]
 //                             [--backend=auto|scalar] [--stats=exact|sketch]
@@ -14,15 +16,12 @@
 //                             [--placements=spread,blocks,leaders]
 //                             [--base-seed=S] [--rounds=N] [--margin=M]
 //                             [sink flags: --trace=FILE
-//                              --trace-format=jsonl|csv|bin
+//                              --trace-format=jsonl|bin
 //                              --trace-outputs --checkpoint=FILE --progress]
-//                             [--shards=K] [--shard=i] [--emit=FILE]
+//                             [--shards=K --shard=i] [--emit=FILE]
 //   synccount_cli sweep       --spec=SPEC.json [--resume] [--threads=N]
-//                             [--shards=K] [--shard=i] [--emit=FILE] [--progress]
+//                             [--shards=K --shard=i] [--emit=FILE] [--progress]
 //   synccount_cli merge       FILE... [--emit=FILE]
-//   synccount_cli synthesize  --n=4 --f=1 --states=3 [--symmetry=cyclic]
-//                             [--max-time=8] [--incremental] [--budget=K]
-//                             [--dimacs=out.cnf]
 //   synccount_cli synth       --n=4 --f=1 --states=3 [--symmetry=cyclic]
 //                             [--min-time=1] [--max-time=8] [--portfolio=K]
 //                             [--cube-depth=d] [--jobs=N] [--budget=C]
@@ -41,27 +40,20 @@
 // `sweep --spec=spec.json --resume`, and the completed checkpoint file is
 // byte-identical to an uninterrupted worker's partial.
 //
-// Distributed sweeps: `sweep --shards=K` forks K local worker processes,
-// each running a contiguous slice of (adversary, placement) cell-groups, and
-// merges their partial files -- bit-identical to the single-process sweep.
-// `sweep --shards=K --shard=i --emit=FILE` runs one worker in the calling
-// process (the multi-machine form: run shard i per machine, copy the files,
-// `merge` them anywhere). Unknown flags and subcommands exit with status 2.
+// Distributed sweeps: `sweep --shards=K --shard=i --emit=FILE` runs worker i
+// of K, a contiguous slice of (adversary, placement) cell-groups; run one per
+// process or machine, copy the files and `merge` them anywhere --
+// bit-identical to the single-process sweep. (synccount_serve runs the same
+// split with leases and crash recovery.) Unknown flags and subcommands exit
+// with status 2.
 #include <fstream>
 #include <iostream>
 #include <sstream>
 
-#include <sys/wait.h>
-#include <unistd.h>
-
-#include <chrono>
-#include <cstdio>
 #include <filesystem>
-#include <thread>
 
 #include "counting/algorithm_spec.hpp"
 #include "counting/table_io.hpp"
-#include "sim/profile.hpp"
 #include "sim/experiment_io.hpp"
 #include "sim/sink.hpp"
 #include "synccount/synccount.hpp"
@@ -78,7 +70,7 @@ void usage(std::ostream& os) {
         "              with --emit=SPEC.json: build an experiment spec from the sweep\n"
         "              grid + sink flags below and write it WITHOUT running; --shards=K\n"
         "              additionally prints the per-worker shard plan\n"
-        "  run         one execution with optional CSV trace\n"
+        "  run         one execution with optional JSONL trace (per-round outputs)\n"
         "              --f --modulus --adversary --placement --seed --rounds --trace\n"
         "  sweep       batched grid sweep (adversaries x placements x seeds)\n"
         "              --f --modulus | --table=3states|4states|file.table\n"
@@ -86,15 +78,13 @@ void usage(std::ostream& os) {
         "              --base-seed --rounds --margin --stop-after-stable --threads\n"
         "              --stats=exact|sketch  (sketch: mergeable KLL quantile\n"
         "              sketches instead of retained samples; bounded memory)\n"
-        "              sink flags: --trace=FILE --trace-format=jsonl|csv|bin\n"
+        "              sink flags: --trace=FILE --trace-format=jsonl|bin\n"
         "              --trace-outputs --checkpoint=FILE --progress\n"
-        "              --shards=K [--shard=i] [--emit=FILE]  (distributed mode)\n"
+        "              --shards=K --shard=i --emit=FILE  (worker i of K; fold\n"
+        "              the partials with merge)\n"
         "              --spec=SPEC.json [--resume]  (run a spec file; --resume\n"
         "              restarts a checkpointed run from the last finished group)\n"
         "  merge       fold sweep worker partials: merge FILE... [--emit=FILE]\n"
-        "  synthesize  SAT-synthesize a table algorithm\n"
-        "              --n --f --states --modulus --symmetry --min-time --max-time\n"
-        "              --incremental --budget --dimacs --save\n"
         "  synth       parallel synthesis: portfolio CDCL + cube-and-conquer +\n"
         "              batch prefilter; deterministic result for any --jobs\n"
         "              --n --f --states --modulus --symmetry --min-time --max-time\n"
@@ -183,60 +173,11 @@ int cmd_plan(const util::Cli& cli) {
   return 0;
 }
 
-int cmd_run(const util::Cli& cli) {
-  if (const int rc = reject_unknown(
-          cli, {"f", "modulus", "adversary", "placement", "seed", "rounds", "trace"})) {
-    return rc;
-  }
-  const int f = static_cast<int>(cli.get_int("f", 3));
-  const std::uint64_t modulus = cli.get_u64("modulus", 16);
-  const auto algo = boosting::build_plan(boosting::plan_practical(f, modulus));
-  const int n = algo->num_nodes();
-
-  sim::RunConfig cfg;
-  cfg.algo = algo;
-  const std::string placement = cli.get_string("placement", "blocks");
-  if (placement == "spread" || f == 1) {
-    cfg.faulty = sim::faults_spread(n, f);
-  } else {
-    cfg.faulty = sim::faults_block_concentrated(3, n / 3, (f - 1) / 2, f);
-  }
-  cfg.max_rounds = cli.get_u64("rounds", algo->stabilisation_bound().value_or(2000) + 300);
-  cfg.seed = cli.get_u64("seed", 1);
-  cfg.record_outputs = cli.has("trace");
-  auto adversary = sim::make_adversary(cli.get_string("adversary", "split"));
-  const auto res = sim::run_execution(cfg, *adversary, 100);
-
-  std::cout << "algorithm:  " << algo->name() << "\n"
-            << "faulty:     ";
-  for (auto id : sim::fault_ids(cfg.faulty)) std::cout << id << ' ';
-  std::cout << "\nadversary:  " << adversary->name() << "\n"
-            << "rounds run: " << res.rounds << "\n"
-            << "stabilised: " << (res.stabilised ? "yes" : "no") << " at round "
-            << res.stabilisation_round << " (bound "
-            << algo->stabilisation_bound().value_or(0) << ")\n";
-
-  if (cli.has("trace")) {
-    const std::string path = cli.get_string("trace", "trace.csv");
-    std::ofstream out(path);
-    out << "round";
-    for (auto id : res.correct_ids) out << ",node" << id;
-    out << "\n";
-    for (std::size_t r = 0; r < res.outputs.size(); ++r) {
-      out << r;
-      for (auto v : res.outputs[r]) out << ',' << v;
-      out << "\n";
-    }
-    std::cout << "trace:      " << path << " (" << res.outputs.size() << " rounds)\n";
-  }
-  return res.stabilised ? 0 : 1;
-}
-
 // --- sweep -------------------------------------------------------------------
 
-// The grid a sweep command line describes; shared by the single-process,
-// worker and orchestrator paths (a worker must reconstruct the exact spec
-// from the same flags or read the same spec file). The ExperimentSpec is
+// The grid a sweep command line describes; shared by the single-process and
+// worker paths (a worker must reconstruct the exact spec from the same flags
+// or read the same spec file). The ExperimentSpec is
 // fully declarative (`spec.algorithm`), so it serialises as-is.
 struct SweepGrid {
   counting::AlgorithmPtr algo;  // built once for header printing
@@ -347,13 +288,10 @@ int apply_sink_flags(const util::Cli& cli, sim::ExperimentSpec& spec) {
       return 2;
     }
     cfg.format = cli.get_string("trace-format", "jsonl");
-    if (cfg.format != "jsonl" && cfg.format != "csv" && cfg.format != "bin") {
-      std::cerr << "unknown trace format: " << cfg.format << " (want jsonl|csv|bin)\n";
-      return 2;
-    }
     cfg.outputs = cli.get_bool("trace-outputs");
-    if (cfg.outputs && cfg.format != "jsonl") {
-      std::cerr << "--trace-outputs requires --trace-format=jsonl\n";
+    if (const std::string error = sim::trace_format_error(cfg.format, cfg.outputs);
+        !error.empty()) {
+      std::cerr << error << "\n";
       return 2;
     }
     spec.sinks.push_back(std::move(cfg));
@@ -374,6 +312,59 @@ int apply_sink_flags(const util::Cli& cli, sim::ExperimentSpec& spec) {
     spec.sinks.push_back(std::move(cfg));
   }
   return 0;
+}
+
+// One execution as a one-cell spec (the seed taken verbatim) through the
+// engine, the path `sweep` takes; --trace streams its JSONL row with the
+// per-round outputs.
+int cmd_run(const util::Cli& cli) {
+  if (const int rc = reject_unknown(
+          cli, {"f", "modulus", "adversary", "placement", "seed", "rounds", "trace"})) {
+    return rc;
+  }
+  const int f = static_cast<int>(cli.get_int("f", 3));
+  const std::uint64_t modulus = cli.get_u64("modulus", 16);
+  const auto algo = boosting::build_plan(boosting::plan_practical(f, modulus));
+  const int n = algo->num_nodes();
+
+  sim::ExperimentSpec spec;
+  spec.algo = algo;
+  spec.adversaries = {cli.get_string("adversary", "split")};
+  const std::string placement = cli.get_string("placement", "blocks");
+  if (placement != "blocks" && placement != "spread") {
+    std::cerr << "unknown placement: " << placement << " (want blocks|spread)\n";
+    return 2;
+  }
+  // Blocks need a multi-block fault budget; at f = 1 they fall back to spread.
+  if (placement == "spread" || f == 1) {
+    spec.placements = {{"spread", sim::faults_spread(n, f)}};
+  } else {
+    spec.placements = {
+        {"blocks", sim::faults_block_concentrated(3, n / 3, (f - 1) / 2, f)}};
+  }
+  spec.seeds = 1;
+  spec.explicit_seeds = {cli.get_u64("seed", 1)};
+  spec.max_rounds = cli.get_u64("rounds", 0);  // 0: T bound + spec.extra_rounds
+  // --trace is the only sink flag `run` takes; its row carries the outputs.
+  if (const int rc = apply_sink_flags(cli, spec)) return rc;
+  for (sim::SinkConfig& cfg : spec.sinks) cfg.outputs = true;
+  const auto plan = sim::plan_shards(spec, 1, 0);
+  const auto sinks = sim::make_sinks(spec, plan);
+  const sim::RunResult res =
+      sim::Engine(1).run(spec, plan, sim::sink_list(sinks)).cells.front().result;
+
+  std::cout << "algorithm:  " << algo->name() << "\n"
+            << "faulty:     ";
+  for (auto id : sim::fault_ids(spec.placements.front().faulty)) std::cout << id << ' ';
+  std::cout << "\nadversary:  " << spec.adversaries.front() << "\n"
+            << "rounds run: " << res.rounds << "\n"
+            << "stabilised: " << (res.stabilised ? "yes" : "no") << " at round "
+            << res.stabilisation_round << " (bound "
+            << algo->stabilisation_bound().value_or(0) << ")\n";
+  for (const sim::SinkConfig& cfg : spec.sinks) {
+    std::cout << "trace:      " << cfg.path << " (jsonl, with outputs)\n";
+  }
+  return res.stabilised ? 0 : 1;
 }
 
 const sim::SinkConfig* checkpoint_config(const sim::ExperimentSpec& spec) {
@@ -441,7 +432,7 @@ int emit_partial(const std::string& path, const sim::ShardPartial& partial) {
   std::ostringstream out;
   sim::write_partial(out, partial);
   try {
-    // Durable + atomic: an orchestrator (or CI byte-compare) never sees a
+    // Durable + atomic: `merge` (or a CI byte-compare) never sees a
     // half-written partial, and ENOSPC fails the worker here, not later.
     sim::atomic_write_file(path, out.str());
   } catch (const std::exception& e) {
@@ -514,54 +505,16 @@ int cmd_plan_spec(const util::Cli& cli) {
     util::Table t({"shard", "groups [begin, end)", "cells"});
     for (int i = 0; i < shards; ++i) {
       const auto plan = sim::plan_shards(spec, shards, i);
-      t.add_row({std::to_string(i),
-                 "[" + std::to_string(plan.group_begin) + ", " +
-                     std::to_string(plan.group_end) + ")",
+      // Streamed: GCC 12's -Wrestrict misfires on "[" + std::string here.
+      std::ostringstream range;
+      range << '[' << plan.group_begin << ", " << plan.group_end << ')';
+      t.add_row({std::to_string(i), range.str(),
                  std::to_string(plan.groups() * static_cast<std::size_t>(spec.seeds))});
     }
     t.print(std::cout);
   }
   std::cout << "spec: " << emit << "  (run: synccount_cli sweep --spec=" << emit << ")\n";
   return 0;
-}
-
-// Forks one worker per shard (re-executing this binary) and waits for all of
-// them; multi-machine runs do exactly this by hand, one shard per machine.
-int run_worker_processes(const std::string& exe,
-                         const std::vector<std::vector<std::string>>& worker_args) {
-  std::vector<pid_t> pids;
-  bool spawn_failed = false;
-  for (const auto& args : worker_args) {
-    const pid_t pid = fork();
-    if (pid < 0) {
-      std::perror("fork");
-      spawn_failed = true;
-      break;  // reap the workers already running before reporting failure
-    }
-    if (pid == 0) {
-      std::vector<char*> argv;
-      argv.reserve(args.size() + 1);
-      for (const auto& a : args) argv.push_back(const_cast<char*>(a.c_str()));
-      argv.push_back(nullptr);
-      // execvp: self_exe falls back to argv[0] where /proc/self/exe is
-      // unavailable, and a bare program name then needs the PATH search.
-      execvp(exe.c_str(), argv.data());
-      std::perror("execvp");
-      _exit(127);
-    }
-    pids.push_back(pid);
-  }
-  int failures = 0;
-  for (const pid_t pid : pids) {
-    int status = 0;
-    if (waitpid(pid, &status, 0) < 0 || !WIFEXITED(status) || WEXITSTATUS(status) != 0) {
-      ++failures;
-    }
-  }
-  if (failures > 0) {
-    std::cerr << failures << " worker process(es) failed\n";
-  }
-  return (failures > 0 || spawn_failed) ? 1 : 0;
 }
 
 // Runs one shard with its configured sinks, honouring --resume: when a
@@ -600,10 +553,8 @@ int run_shard(const sim::ExperimentSpec& spec, const sim::ShardPlan& plan, int t
           sim::truncate_to_blocks(sim::sink_path(cfg, plan), 1 + groups_done);
           continue;
         }
-        const std::uint64_t rows =
-            groups_done * static_cast<std::uint64_t>(spec.seeds) +
-            (cfg.format == "csv" ? 1 : 0);
-        sim::truncate_to_lines(sim::sink_path(cfg, plan), rows);
+        sim::truncate_to_lines(sim::sink_path(cfg, plan),
+                               groups_done * static_cast<std::uint64_t>(spec.seeds));
       }
       run_plan.group_begin = state.next_group;
       append = true;
@@ -630,8 +581,7 @@ int run_shard(const sim::ExperimentSpec& spec, const sim::ShardPlan& plan, int t
   return 0;
 }
 
-int cmd_sweep(const util::Cli& cli, const std::string& exe,
-              const std::vector<std::string>& raw_args) {
+int cmd_sweep(const util::Cli& cli) {
   if (const int rc = reject_unknown(
           cli, {"f", "modulus", "table", "backend", "stats", "adversaries", "placements",
                 "seeds", "base-seed", "rounds", "margin", "stop-after-stable", "threads",
@@ -691,6 +641,12 @@ int cmd_sweep(const util::Cli& cli, const std::string& exe,
     std::cerr << "--shards must be >= 1\n";
     return 2;
   }
+  if (shards > 1 && !cli.has("shard")) {
+    std::cerr << "--shards=K runs one worker per call: add --shard=i --emit=FILE for each "
+                 "i in [0, K) and fold the files with `synccount_cli merge`, or submit the "
+                 "spec to synccount_serve\n";
+    return 2;
+  }
   const std::string emit = cli.get_string("emit", "");
   // A bare `--emit` parses as the boolean value "true"; writing a file
   // literally named "true" is always a forgotten =FILE.
@@ -727,103 +683,24 @@ int cmd_sweep(const util::Cli& cli, const std::string& exe,
   }
 
   // --- Single process: the grid in one engine run --------------------------
-  if (shards == 1) {
-    const auto plan = sim::plan_shards(spec, 1, 0);
-    sim::ShardPartial partial;
-    sim::ExperimentResult executed;
-    if (const int rc = run_shard(spec, plan, threads, resume, extra, partial, executed)) {
-      return rc;
-    }
-    print_grid_header(grid);
-    std::cout << "grid: " << spec.adversaries.size() << " adversaries x "
-              << std::max<std::size_t>(spec.placements.size(), 1) << " placements x "
-              << spec.seeds << " seeds; " << executed.cells.size()
-              << " executions run this process (" << executed.batched_cells
-              << " on the batched backend)\n\n";
-    if (!emit.empty()) {
-      if (const int rc = emit_partial(emit, partial)) return rc;
-    }
-    const int rc = print_partial_table(partial);
-    print_profile_table(spec, executed);
-    std::cout << "wall: " << util::fmt_double(executed.wall_seconds, 2) << "s\n";
+  const auto plan = sim::plan_shards(spec, 1, 0);
+  sim::ShardPartial partial;
+  sim::ExperimentResult executed;
+  if (const int rc = run_shard(spec, plan, threads, resume, extra, partial, executed)) {
     return rc;
   }
-
-  // --- Orchestrator: fork K local workers and merge their partials ---------
-  const auto t0 = sim::profile_now();
-  std::vector<std::string> worker_files;
-  const bool keep_partials = !emit.empty();
-  std::string tmp_base;
-  if (!keep_partials) {
-    tmp_base = (std::filesystem::temp_directory_path() /
-                ("synccount-sweep-" + std::to_string(getpid()) + "-shard"))
-                   .string();
-  }
-  // The workers run concurrently, so --threads (or hardware concurrency) is
-  // a *total* budget split across them -- forwarding it verbatim would
-  // oversubscribe the machine K-fold.
-  const int total_threads =
-      threads > 0 ? threads
-                  : std::max(1, static_cast<int>(std::thread::hardware_concurrency()));
-  const int worker_threads = std::max(1, total_threads / shards);
-  std::vector<std::vector<std::string>> worker_args;
-  for (int i = 0; i < shards; ++i) {
-    const std::string file = keep_partials ? emit + ".shard" + std::to_string(i)
-                                           : tmp_base + std::to_string(i) + ".jsonl";
-    worker_files.push_back(file);
-    std::vector<std::string> args = {exe, "sweep"};
-    for (const auto& a : raw_args) {
-      if (a.rfind("--shards", 0) == 0 || a.rfind("--shard", 0) == 0 ||
-          a.rfind("--emit", 0) == 0 || a.rfind("--threads", 0) == 0) {
-        continue;  // replaced below (--shards is re-added explicitly)
-      }
-      args.push_back(a);
-    }
-    args.push_back("--shards=" + std::to_string(shards));
-    args.push_back("--shard=" + std::to_string(i));
-    args.push_back("--threads=" + std::to_string(worker_threads));
-    args.push_back("--emit=" + file);
-    worker_args.push_back(std::move(args));
-  }
-
   print_grid_header(grid);
   std::cout << "grid: " << spec.adversaries.size() << " adversaries x "
             << std::max<std::size_t>(spec.placements.size(), 1) << " placements x "
-            << spec.seeds << " seeds = "
-            << sim::group_count(spec) * static_cast<std::size_t>(spec.seeds)
-            << " executions across " << shards << " worker processes\n";
-  const int spawn_rc = run_worker_processes(exe, worker_args);
-
-  std::vector<sim::ShardPartial> parts;
-  int read_rc = 0;
-  if (spawn_rc == 0) {
-    for (const auto& file : worker_files) {
-      std::ifstream in(file);
-      if (!in.good()) {
-        std::cerr << "missing worker partial: " << file << "\n";
-        read_rc = 1;
-        break;
-      }
-      parts.push_back(sim::read_partial(in, file));
-    }
-  }
-  if (!keep_partials) {
-    for (const auto& file : worker_files) std::remove(file.c_str());
-  }
-  if (spawn_rc != 0 || read_rc != 0) return 1;
-
-  const auto merged = sim::merge_partials(std::move(parts));
-  std::cout << "\n";
+            << spec.seeds << " seeds; " << executed.cells.size()
+            << " executions run this process (" << executed.batched_cells
+            << " on the batched backend)\n\n";
   if (!emit.empty()) {
-    if (const int rc = emit_partial(emit, merged)) return rc;
+    if (const int rc = emit_partial(emit, partial)) return rc;
   }
-  const int rc = print_partial_table(merged);
-  std::cout << "wall: "
-            << util::fmt_double(std::chrono::duration<double>(
-                                    sim::profile_now() - t0)
-                                    .count(),
-                                2)
-            << "s (" << shards << " workers)\n";
+  const int rc = print_partial_table(partial);
+  print_profile_table(spec, executed);
+  std::cout << "wall: " << util::fmt_double(executed.wall_seconds, 2) << "s\n";
   return rc;
 }
 
@@ -868,61 +745,6 @@ counting::Symmetry parse_symmetry(const std::string& s) {
   if (s == "cyclic") return counting::Symmetry::kCyclic;
   if (s == "per-node") return counting::Symmetry::kPerNode;
   throw std::invalid_argument("unknown symmetry: " + s);
-}
-
-int cmd_synthesize(const util::Cli& cli) {
-  if (const int rc = reject_unknown(
-          cli, {"n", "f", "states", "modulus", "symmetry", "max-time", "min-time",
-                "incremental", "budget", "dimacs", "save"})) {
-    return rc;
-  }
-  synthesis::SynthesisSpec spec;
-  spec.n = static_cast<int>(cli.get_int("n", 4));
-  spec.f = static_cast<int>(cli.get_int("f", 1));
-  spec.num_states = cli.get_u64("states", 3);
-  spec.modulus = cli.get_u64("modulus", 2);
-  spec.symmetry = parse_symmetry(cli.get_string("symmetry", "cyclic"));
-
-  if (cli.has("dimacs")) {
-    spec.max_time = static_cast<int>(cli.get_int("max-time", 8));
-    const synthesis::Encoder enc(spec);
-    const std::string path = cli.get_string("dimacs", "out.cnf");
-    std::ofstream out(path);
-    sat::write_dimacs(enc.cnf(), out);
-    std::cout << "wrote " << enc.size().variables << " vars / " << enc.size().clauses
-              << " clauses to " << path << "\n";
-    return 0;
-  }
-
-  synthesis::SynthesisOptions opt;
-  opt.min_time = static_cast<int>(cli.get_int("min-time", 1));
-  opt.max_time = static_cast<int>(cli.get_int("max-time", 8));
-  opt.conflict_budget = cli.get_u64("budget", 100000);
-  const auto out = cli.get_bool("incremental") ? synthesize_incremental(spec, opt)
-                                               : synthesize(spec, opt);
-  if (!out.found) {
-    std::cout << (out.budget_exhausted ? "budget exhausted" : "UNSAT (optimality proof)")
-              << " after " << out.total_conflicts << " conflicts\n";
-    return 1;
-  }
-  std::cout << "found: certified worst-case stabilisation " << out.exact_time
-            << " rounds (admissible bound " << out.time_bound_used << ")\n";
-  if (cli.has("save")) {
-    const std::string path = cli.get_string("save", "counter.table");
-    std::ofstream file(path);
-    counting::write_table(out.table, file);
-    std::cout << "saved to " << path << "\n";
-  }
-  std::cout << "g = {";
-  for (std::size_t i = 0; i < out.table.g.size(); ++i) {
-    std::cout << static_cast<int>(out.table.g[i]) << (i + 1 < out.table.g.size() ? "," : "");
-  }
-  std::cout << "}\nh = {";
-  for (std::size_t i = 0; i < out.table.h.size(); ++i) {
-    std::cout << static_cast<int>(out.table.h[i]) << (i + 1 < out.table.h.size() ? "," : "");
-  }
-  std::cout << "}\n";
-  return 0;
 }
 
 // The parallel synthesis engine (synthesis/portfolio.hpp): a K-config
@@ -1067,17 +889,6 @@ int cmd_consensus(const util::Cli& cli) {
   return agreed ? 0 : 1;
 }
 
-// Path of the running binary, for re-exec'ing worker processes.
-std::string self_exe(const char* argv0) {
-  char buf[4096];
-  const ssize_t len = ::readlink("/proc/self/exe", buf, sizeof(buf) - 1);
-  if (len > 0) {
-    buf[len] = '\0';
-    return std::string(buf);
-  }
-  return std::string(argv0);
-}
-
 }  // namespace
 
 int main(int argc, char** argv) {
@@ -1090,12 +901,8 @@ int main(int argc, char** argv) {
     const util::Cli cli(argc - 1, argv + 1);
     if (cmd == "plan") return cmd_plan(cli);
     if (cmd == "run") return cmd_run(cli);
-    if (cmd == "sweep") {
-      return cmd_sweep(cli, self_exe(argv[0]),
-                       std::vector<std::string>(argv + 2, argv + argc));
-    }
+    if (cmd == "sweep") return cmd_sweep(cli);
     if (cmd == "merge") return cmd_merge(cli);
-    if (cmd == "synthesize") return cmd_synthesize(cli);
     if (cmd == "synth") return cmd_synth(cli);
     if (cmd == "verify") return cmd_verify(cli);
     if (cmd == "consensus") return cmd_consensus(cli);
