@@ -4,6 +4,7 @@
 #include <bit>
 #include <numeric>
 
+#include "counting/table_algorithm.hpp"
 #include "util/check.hpp"
 
 namespace synccount::sim {
@@ -75,6 +76,56 @@ int agreement_score(std::span<const std::uint64_t> outs) {
     best = std::max(best, cnt);
   }
   return best;
+}
+
+// The receivers lookahead scores candidates against: an even stride of at
+// most `count` over the correct nodes (deterministic, so it costs no draws).
+void lookahead_sample(std::span<const NodeId> correct, int count, std::vector<NodeId>& out) {
+  const std::size_t m = std::min<std::size_t>(static_cast<std::size_t>(count), correct.size());
+  out.clear();
+  for (std::size_t j = 0; j < m; ++j) out.push_back(correct[j * correct.size() / m]);
+}
+
+// The constants of lookahead's candidate draws on the index path.
+struct CandidateDraw {
+  std::uint64_t mask;       // random_state: (1 << state_bits) - 1
+  std::uint64_t ns;         // |X|
+  std::uint64_t threshold;  // replay: next_below(n) redraws below this
+  util::Divisor mod_n;      // replay: then reduces mod n
+};
+
+// One candidate profile for one lane, drawn exactly as begin_round draws
+// it: per entry a next_bool(0.5) coin, then random_state (one raw draw
+// reduced like canonicalize; none for a one-state table, kDrawsRaw false)
+// or a replay of states[next_below(n)], read from the lane's column `col`.
+template <bool kDrawsRaw>
+void draw_candidate(util::Rng& lane_rng, const CandidateDraw& d, const std::uint8_t* col,
+                    std::uint8_t* cand, std::size_t size) {
+  // A local generator stays in registers across the byte stores, which may
+  // alias anything.
+  util::Rng rng = lane_rng;
+  for (std::size_t e = 0; e < size; ++e) {
+    // next_bool(0.5) is true iff the draw's top bit is clear: it compares
+    // (x >> 11) * 2^-53 against 0.5.
+    const bool random = (rng.next_u64() >> 63) == 0;
+    if constexpr (!kDrawsRaw) {
+      cand[e] = random ? 0 : col[d.mod_n.mod(rng.next_u64())];
+      continue;
+    }
+    // Either arm draws once more: random_state's raw chunk or the replay's
+    // first try, which the replay rejects with odds n / 2^64. Both values
+    // are formed and one is masked in, with no branch on the coin: it would
+    // mispredict half the time (a ?: or && on it compiles to one here).
+    const std::uint64_t take_raw = 0 - static_cast<std::uint64_t>(random);
+    const std::uint64_t reject_below = d.threshold & ~take_raw;
+    std::uint64_t y = rng.next_u64();
+    while (y < reject_below) y = rng.next_u64();
+    std::uint64_t raw = y & d.mask;
+    raw -= d.ns & -static_cast<std::uint64_t>(raw >= d.ns);
+    const std::uint64_t replay = col[d.mod_n.mod(y)];
+    cand[e] = static_cast<std::uint8_t>((raw & take_raw) | (replay & ~take_raw));
+  }
+  lane_rng = rng;
 }
 
 }  // namespace
@@ -332,16 +383,11 @@ void LookaheadAdversary::begin_round(std::uint64_t, std::span<const State> state
   faulty_.assign(faulty_ids.begin(), faulty_ids.end());
   const std::size_t profile_size = faulty_.size() * static_cast<std::size_t>(n_);
 
-  // The receiver sample candidates are scored against: an even stride over
-  // the correct nodes (deterministic, so it costs no rng draws).
   std::vector<NodeId> correct;
   for (NodeId i = 0; i < n_; ++i) {
     if (std::find(faulty_.begin(), faulty_.end(), i) == faulty_.end()) correct.push_back(i);
   }
-  const std::size_t m =
-      std::min<std::size_t>(static_cast<std::size_t>(sample_receivers_), correct.size());
-  sampled_.clear();
-  for (std::size_t j = 0; j < m; ++j) sampled_.push_back(correct[j * correct.size() / m]);
+  lookahead_sample(correct, sample_receivers_, sampled_);
 
   std::vector<State> received(states.begin(), states.end());
   std::vector<std::uint64_t> outs(sampled_.size());
@@ -396,6 +442,107 @@ void LookaheadAdversary::begin_round(std::uint64_t, std::span<const State> state
   }
   chosen_ = std::move(best_profile);
   cached_ = chosen_;
+}
+
+bool LookaheadAdversary::forge_lanes_idx(std::uint64_t /*round*/, const CountingAlgorithm& algo,
+                                         std::span<const NodeId> faulty_ids,
+                                         std::span<const NodeId> correct_ids,
+                                         std::span<const std::uint8_t> states_idx,
+                                         std::span<util::Rng> rngs,
+                                         std::span<const std::uint64_t> active,
+                                         std::uint8_t* out_idx, ForgedRound& out) {
+  const auto* table = dynamic_cast<const counting::TableAlgorithm*>(&algo);
+  if (table == nullptr || states_idx.empty() || !idx_guard(ig_, algo)) return false;
+  const counting::CompiledTable& ct = table->compiled();
+  const std::size_t nf = faulty_ids.size();
+  const std::size_t nc = correct_ids.size();
+  const std::size_t L = rngs.size();
+  const std::size_t n = nf + nc;
+  SC_REQUIRE(nc > 0, "forge_lanes_idx needs a correct receiver");
+  SC_REQUIRE(states_idx.size() == n * L, "forge_lanes_idx state view has the wrong size");
+  per_receiver_profiles(correct_ids, n, out);
+  // Without faults the profiles are empty: begin_round draws nothing.
+  const std::size_t psize = nf * n;
+  if (psize == 0) return true;
+  if (lane_best_.size() != L * psize) {
+    lane_best_.assign(L * psize, 0);
+    lane_has_best_.assign(L, 0);
+  }
+
+  // A candidate reaches sampled receiver i only through the faulty senders'
+  // terms of i's g index, so their strides are gathered once per call and
+  // the correct senders' part is summed once per lane (base).
+  lookahead_sample(correct_ids, sample_receivers_, sampled_);
+  const std::size_t m = sampled_.size();
+  fstride_.resize(m * nf);
+  base_.resize(m);
+  outs_.resize(m);
+  col_.resize(n);
+  cand_.resize(psize);
+  for (std::size_t t = 0; t < m; ++t) {
+    const auto i = static_cast<std::size_t>(sampled_[t]);
+    for (std::size_t k = 0; k < nf; ++k) {
+      fstride_[t * nf + k] = ct.stride[i * n + static_cast<std::size_t>(faulty_ids[k])];
+    }
+  }
+  // Raw pointers keep the loop's state in registers across the byte stores.
+  const NodeId* sampled = sampled_.data();
+  const std::uint64_t* fstride = fstride_.data();
+  std::uint64_t* base = base_.data();
+  std::uint64_t* outs = outs_.data();
+  std::uint8_t* col = col_.data();
+  std::uint8_t* cand = cand_.data();
+  const auto score = [&](const std::uint8_t* profile) {
+    for (std::size_t t = 0; t < m; ++t) {
+      const NodeId i = sampled[t];
+      std::uint64_t acc = base[t];
+      for (std::size_t k = 0; k < nf; ++k) {
+        acc += fstride[t * nf + k] * profile[k * n + static_cast<std::size_t>(i)];
+      }
+      outs[t] = ct.out(i, ct.g[static_cast<std::size_t>(acc)]);
+    }
+    return agreement_score(std::span<const std::uint64_t>(outs, m));
+  };
+
+  const CandidateDraw draw{ig_.mask, ig_.ns, (0 - static_cast<std::uint64_t>(n)) % n,
+                           util::Divisor(n)};
+  const bool draws_raw = ig_.bits > 0;
+  for (std::size_t w = 0; w < active.size(); ++w) {
+    for (std::uint64_t msk = active[w]; msk; msk &= msk - 1) {
+      const std::size_t l = w * 64 + static_cast<std::size_t>(std::countr_zero(msk));
+      for (std::size_t s = 0; s < n; ++s) col[s] = states_idx[s * L + l];
+      for (std::size_t t = 0; t < m; ++t) {
+        const auto i = static_cast<std::size_t>(sampled[t]);
+        std::uint64_t acc = ct.node_base[i];
+        for (const NodeId s : correct_ids) {
+          const auto su = static_cast<std::size_t>(s);
+          acc += ct.stride[i * n + su] * col[su];
+        }
+        base[t] = acc;
+      }
+      std::uint8_t* best = lane_best_.data() + l * psize;
+      int best_score = static_cast<int>(n) + 1;
+      if (lane_has_best_[l] != 0) best_score = score(best);
+      for (int c = 0; c < candidates_; ++c) {
+        if (draws_raw) {
+          draw_candidate<true>(rngs[l], draw, col, cand, psize);
+        } else {
+          draw_candidate<false>(rngs[l], draw, col, cand, psize);
+        }
+        const int sc = score(cand);
+        if (sc < best_score) {
+          best_score = sc;
+          std::copy_n(cand, psize, best);
+        }
+      }
+      lane_has_best_[l] = 1;
+      for (std::size_t j = 0; j < nc; ++j) {
+        const auto r = static_cast<std::size_t>(correct_ids[j]);
+        for (std::size_t k = 0; k < nf; ++k) out_idx[(j * nf + k) * L + l] = best[k * n + r];
+      }
+    }
+  }
+  return true;
 }
 
 State LookaheadAdversary::message(std::uint64_t, NodeId sender, NodeId receiver,

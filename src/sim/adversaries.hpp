@@ -17,10 +17,10 @@
 //                            profiles and commits to the one minimising
 //                            agreement among correct nodes.
 //
-// Split, random, mirror and targeted-vote also forge a flat table block's
-// whole round in one forge_lanes_idx call; mirror and targeted-vote read
-// the block's node-major state-index view (states_idx[node * lanes + lane])
-// instead of per-lane State vectors.
+// Every strategy but the execution-constant silent and echo also forges a
+// flat table block's whole round in one forge_lanes_idx call; mirror,
+// targeted-vote and lookahead read the block's node-major state-index view
+// (states_idx[node * lanes + lane]) instead of per-lane State vectors.
 #pragma once
 
 #include <memory>
@@ -172,6 +172,10 @@ class LookaheadAdversary final : public Adversary {
   // the score to a fixed receiver sample and seeding the search with the
   // previous round's winning profile keeps the attack quality while making
   // the per-round cost O(candidates * sample) instead of O(candidates * n).
+  //
+  // On a flat table the search runs for a whole block in forge_lanes_idx:
+  // candidates are profiles of canonical indices and each is scored with
+  // CompiledTable lookups. Towers search per lane through begin_round.
   explicit LookaheadAdversary(int candidates = 4, int sample_receivers = 4);
 
   void begin_round(std::uint64_t round, std::span<const State> true_states,
@@ -180,7 +184,15 @@ class LookaheadAdversary final : public Adversary {
   State message(std::uint64_t round, NodeId sender, NodeId receiver,
                 std::span<const State> true_states, const CountingAlgorithm& algo,
                 util::Rng& rng) override;
-  bool batchable() const noexcept override { return false; }
+  // begin_round's search for every active lane, drawing each lane's
+  // candidates from its own rng in begin_round's order. Each lane's
+  // incumbent lives here, keyed by lane. Declines on a non-table algorithm.
+  bool forge_lanes_idx(std::uint64_t round, const CountingAlgorithm& algo,
+                       std::span<const NodeId> faulty_ids,
+                       std::span<const NodeId> correct_ids,
+                       std::span<const std::uint8_t> states_idx, std::span<util::Rng> rngs,
+                       std::span<const std::uint64_t> active, std::uint8_t* out_idx,
+                       ForgedRound& out) override;
   // message() replays the profile chosen in begin_round(); its random
   // fallback only fires for non-faulty senders, which the runners never ask
   // about.
@@ -196,6 +208,18 @@ class LookaheadAdversary final : public Adversary {
   std::vector<State> chosen_;
   std::vector<State> cached_;  // last round's winner, re-scored as candidate 0
   int n_ = 0;
+
+  // forge_lanes_idx: each lane's incumbent in chosen_'s layout as canonical
+  // indices ([lane * |faulty| * n + s * n + r]) and whether it has one yet,
+  // plus one lane's scratch.
+  IdxGuard ig_;
+  std::vector<std::uint8_t> lane_best_;
+  std::vector<std::uint8_t> lane_has_best_;
+  std::vector<std::uint8_t> cand_;      // one candidate profile
+  std::vector<std::uint8_t> col_;       // [node] the lane's state indices
+  std::vector<std::uint64_t> fstride_;  // [sample t * |faulty| + k] g stride
+  std::vector<std::uint64_t> base_;     // [sample t] correct senders' g part
+  std::vector<std::uint64_t> outs_;     // [sample t] output after the round
 };
 
 // Factory covering all strategies, keyed by name (for CLI-driven benches).

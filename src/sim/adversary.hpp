@@ -79,7 +79,7 @@ class Adversary {
   // implementation delegates to begin_round()/message() in exactly the scalar
   // runner's call order (one query per faulty sender when receiver_oblivious,
   // else the nested (correct receiver, faulty sender) loop), so any adversary
-  // is batchable-correct out of the box; strategies with structure override
+  // runs on the batched backends out of the box; strategies with structure override
   // it to emit few profiles and skip the per-receiver virtual dispatch.
   // Overrides must draw from `rng` in exactly the order the scalar path
   // would, so lanes stay bit-identical to run_execution.
@@ -109,13 +109,15 @@ class Adversary {
   // only to adversaries that are not state_oblivious(); state-oblivious
   // ones get an empty span, and a state-reading override must decline on
   // one. The call goes to one lane's instance on behalf of all of them, so
-  // an override must not depend on per-lane adversary state that outlives
-  // a round.
+  // per-lane adversary state that outlives a round (lookahead's incumbent
+  // profile) lives in the called instance, indexed by lane; the batched
+  // runner always calls advs.front().
   //
   // Returns false when the strategy or algorithm does not admit the path
   // (canonical indices need |X| <= 256 and state_bits <= 64). A false
   // return must leave every rng untouched (the caller re-forges every lane
-  // through forge_block). The default returns false.
+  // through forge_block for the rest of the block), so an override may
+  // decline only on its first call in a block. The default returns false.
   virtual bool forge_lanes_idx(std::uint64_t round, const CountingAlgorithm& algo,
                                std::span<const NodeId> faulty_ids,
                                std::span<const NodeId> correct_ids,
@@ -160,11 +162,6 @@ class Adversary {
   // transitions even when the tower itself draws randomness (fresh-sampling
   // pulling levels) without perturbing the draw order.
   virtual bool message_draw_free() const noexcept { return false; }
-
-  // Return false for strategies whose begin_round() runs its own simulation
-  // search (e.g. lookahead): they dominate the round cost, so batching the
-  // transition buys nothing and the engine keeps them on the scalar runner.
-  virtual bool batchable() const noexcept { return true; }
 
   virtual std::string name() const = 0;
 

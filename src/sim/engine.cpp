@@ -152,7 +152,6 @@ ExperimentResult Engine::run(const ExperimentSpec& spec, const ShardPlan& shard,
     retain = retain || sink->retain_traces();
   }
 
-  const std::size_t n_adv = spec.adversaries.size();
   const std::size_t n_pl = placements.size();
   const std::size_t n_seeds = static_cast<std::size_t>(spec.seeds);
   // The shard's slice: cells [cell_offset, cell_offset + n_cells) of the
@@ -279,11 +278,11 @@ ExperimentResult Engine::run(const ExperimentSpec& spec, const ShardPlan& shard,
   };
 
   // Batch eligibility: a shared batch-supported algorithm (TableAlgorithm or
-  // a composed boosted/pulling tower), no per-seed variants, and a batchable
-  // adversary (probed per name on a library instance). Eligible (adversary,
-  // placement) groups run their seed range through the batched backend in
-  // lockstep chunks; every other cell stays on the scalar runner. The
-  // composed hierarchy is compiled once here and shared by every chunk task.
+  // a composed boosted/pulling tower), no per-seed variants and library
+  // adversaries. Every (adversary, placement) group of an eligible grid runs
+  // its seed range through the batched backend in lockstep chunks; every
+  // other cell stays on the scalar runner. The composed hierarchy is
+  // compiled once here and shared by every chunk task.
   const bool probe_batch = spec.backend == Backend::kAuto && shared_algo != nullptr &&
                            !spec.adversary_factory;
   const bool is_table =
@@ -291,32 +290,21 @@ ExperimentResult Engine::run(const ExperimentSpec& spec, const ShardPlan& shard,
       std::dynamic_pointer_cast<const counting::TableAlgorithm>(shared_algo) != nullptr;
   const auto composed =
       probe_batch && !is_table ? ComposedCompiledTable::compile(shared_algo) : nullptr;
-  const bool algo_batchable = is_table || composed != nullptr;
-  std::vector<bool> adv_batchable(n_adv, false);
-  if (algo_batchable) {
-    for (std::size_t a = 0; a < n_adv; ++a) {
-      adv_batchable[a] = make_adversary(spec.adversaries[a])->batchable();
-    }
-  }
+  const bool batched = is_table || composed != nullptr;
 
   for (Sink* sink : sinks) sink->on_start(spec, shard);
 
   // Lanes per batch task, one task == one block. Table groups fill one
   // 512-lane block (64 * default_batch_words() lanes per table pass).
-  // Composed blocks hold up to 64 lanes, narrowed so that the shard's
-  // composed cells make at least two tasks per pool thread: a tower lane
-  // costs tens to thousands of ns per node-round, so a small group cut into
-  // a few wide blocks would leave threads idle. Lanes are independent
-  // streams, so the width never changes a result.
-  std::size_t batched_groups = 0;
-  for (std::size_t g = shard.group_begin; g < shard.group_end; ++g) {
-    if (algo_batchable && adv_batchable[g / n_pl]) ++batched_groups;
-  }
+  // Composed blocks hold up to 64 lanes, narrowed so that the shard's cells
+  // make at least two tasks per pool thread: a tower lane costs tens to
+  // thousands of ns per node-round, so a small group cut into a few wide
+  // blocks would leave threads idle. Lanes are independent streams, so the
+  // width never changes a result.
   const auto two_per_thread = 2 * static_cast<std::size_t>(threads());
   const std::size_t chunk =
       is_table ? 64 * static_cast<std::size_t>(default_batch_words())
-               : std::clamp<std::size_t>(
-                     (batched_groups * n_seeds + two_per_thread - 1) / two_per_thread, 1, 64);
+               : std::clamp<std::size_t>((n_cells + two_per_thread - 1) / two_per_thread, 1, 64);
   std::vector<std::function<void()>> tasks;
   tasks.reserve(n_cells);
   for (std::size_t g = shard.group_begin; g < shard.group_end; ++g) {
@@ -324,7 +312,7 @@ ExperimentResult Engine::run(const ExperimentSpec& spec, const ShardPlan& shard,
     const std::size_t p = g % n_pl;
     const std::size_t group = g * n_seeds;
     const std::size_t local_group = g - shard.group_begin;
-    if (algo_batchable && adv_batchable[a]) {
+    if (batched) {
       out.batched_cells += n_seeds;
       for (std::size_t s0 = 0; s0 < n_seeds; s0 += chunk) {
         const std::size_t count = std::min(chunk, n_seeds - s0);

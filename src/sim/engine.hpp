@@ -14,12 +14,12 @@
 // Execution backends: cells sharing (adversary, placement) form a group. A
 // group whose algorithm is shared and batch-supported -- a TableAlgorithm
 // (bit-parallel path) or a BoostedCounter / PullingBoostedCounter tower
-// (composed path, sim/composed_runner.hpp) -- and whose adversary is
-// batchable runs through run_batch in lockstep chunks of up to 512 seeds
-// (tables) or 64 seeds (towers); every other cell (unknown compositions, per-cell factories, search
-// adversaries like lookahead) stays on the scalar runner. All backends
-// produce bit-identical RunResults, so mixing them never changes an
-// aggregate.
+// (composed path, sim/composed_runner.hpp) -- runs through run_batch in
+// lockstep chunks of up to 512 seeds (tables) or 64 seeds (towers), under
+// every built-in adversary. The scalar runner takes per-seed variants,
+// custom adversary factories, algorithms outside those families and
+// Backend::kScalar, the differential oracle. All backends produce
+// bit-identical RunResults, so mixing them never changes an aggregate.
 #pragma once
 
 #include <cstdint>

@@ -102,6 +102,21 @@ TablePtr table7(std::uint64_t num_states) {
   return std::make_shared<counting::TableAlgorithm>(std::move(t));
 }
 
+// A one-state n = 4, f = 1 table: state_bits == 0, so a random state costs
+// no draw. Outputs are constant; only the rng streams are of interest.
+TablePtr one_state_table() {
+  counting::TransitionTable t;
+  t.n = 4;
+  t.f = 1;
+  t.num_states = 1;
+  t.modulus = 2;
+  t.symmetry = counting::Symmetry::kUniform;
+  t.g = {0};
+  t.h = {0};
+  t.label = "1state-test";
+  return std::make_shared<counting::TableAlgorithm>(std::move(t));
+}
+
 struct RunOpts {
   std::vector<bool> faulty;
   std::uint64_t max_rounds = 200;
@@ -162,8 +177,8 @@ TEST(BatchRunner, MatchesScalarAcrossAdversariesPlacementsAndKernels) {
   // The 3- and 4-state tables run bit-sliced, the 5-state table SoA.
   const std::vector<std::pair<std::string, TablePtr>> tables = {
       {"3states", table3()}, {"4states", table4()}, {"5states", table5()}};
-  const std::vector<std::string> adversaries = {"silent", "echo",   "random",
-                                                "split",  "mirror", "targeted-vote"};
+  const std::vector<std::string> adversaries = {"silent", "echo",          "random",   "split",
+                                                "mirror", "targeted-vote", "lookahead"};
   const std::vector<std::uint64_t> seeds = {1, 2, 3, 12345, 0xDEAD};
   for (const auto& [tname, algo] : tables) {
     for (const auto& adv : adversaries) {
@@ -222,7 +237,7 @@ TEST(BatchRunner, MultiWordWidthsMatchScalar) {
   // final block and the lane-batched adversary forging must stay
   // bit-identical to run_execution regardless of how many executions share a
   // table pass, for the state-oblivious (split, random) and the
-  // state-reading (mirror, targeted-vote) index forgers. 65, 257 and 513
+  // state-reading (mirror, targeted-vote, lookahead) index forgers. 65, 257 and 513
   // leave one lane in the last plane word; 128 is two full words with the
   // rest of the block inactive; 511 ends the block in a 63-lane partial
   // word; 1025 is two full blocks plus a one-lane tail block.
@@ -235,7 +250,7 @@ TEST(BatchRunner, MultiWordWidthsMatchScalar) {
   for (const auto& [tname, algo] :
        std::vector<std::pair<std::string, TablePtr>>{{"3states", table3()},
                                                      {"5states", table5()}}) {
-    for (const std::string adv : {"split", "random", "mirror", "targeted-vote"}) {
+    for (const std::string adv : {"split", "random", "mirror", "targeted-vote", "lookahead"}) {
       std::vector<sim::RunResult> reference;
       reference.reserve(seeds.size());
       for (const auto s : seeds) reference.push_back(scalar_run(algo, adv, s, opt));
@@ -256,9 +271,10 @@ TEST(BatchRunner, MultiWordWidthsMatchScalar) {
 
 TEST(BatchRunner, StateReadingForgersMatchScalarWithFaultyVictims) {
   // Two faults on seven nodes: mirror's victim rotation reaches the other
-  // faulty node, so its fixed nominal row of the state view is read. The
-  // fault-free placement runs targeted-vote's begin_round-only rounds
-  // through the index path. Widths 65 and 513 end in a one-lane word.
+  // faulty node, so its fixed nominal row of the state view is read, and
+  // lookahead scores two faulty senders' terms and replays nominal states.
+  // The fault-free placement forges nothing. Widths 65 and 513 end in a
+  // one-lane word.
   std::vector<std::uint64_t> seeds(513);
   for (std::size_t i = 0; i < seeds.size(); ++i) seeds[i] = 0xD000 + i * 11;
   const std::vector<std::pair<std::string, std::vector<bool>>> placements = {
@@ -266,7 +282,7 @@ TEST(BatchRunner, StateReadingForgersMatchScalarWithFaultyVictims) {
   for (const std::uint64_t num_states : {3, 5}) {
     const auto algo = table7(num_states);
     for (const auto& [pname, faulty] : placements) {
-      for (const std::string adv : {"mirror", "targeted-vote"}) {
+      for (const std::string adv : {"mirror", "targeted-vote", "lookahead"}) {
         RunOpts opt;
         opt.faulty = faulty;
         opt.max_rounds = 40;
@@ -465,10 +481,74 @@ TEST(BatchRunner, StateReadingForgeLanesIdxMatchesForgeBlock) {
   }
 }
 
+TEST(BatchRunner, LookaheadForgeLanesIdxMatchesForgeBlock) {
+  // Rounds 0-6 on one lane-path instance against one forge_block instance
+  // per lane, so every round after the first re-scores each lane's
+  // incumbent: for every active lane the written indices are that lane's
+  // forge_block indices and the rngs end in the same state; inactive lanes'
+  // rngs are not touched. Table 1, an n = 7 f = 2 table (two faulty
+  // senders, nominal replays) and a one-state table (random states draw
+  // nothing).
+  constexpr std::size_t L = 512;
+  std::vector<std::uint64_t> active(L / 64, ~0ULL);
+  for (std::size_t l = 0; l < L; ++l) {
+    if (l % 5 == 2 || l >= 509) active[l / 64] &= ~(1ULL << (l % 64));
+  }
+  const std::vector<std::pair<TablePtr, std::vector<bool>>> cases = {
+      {table3(), sim::faults_spread(4, 1)},
+      {table7(3), sim::faults_prefix(7, 2)},
+      {one_state_table(), sim::faults_prefix(4, 1)}};
+  for (const auto& [algo, faulty] : cases) {
+    const auto n = static_cast<std::size_t>(algo->num_nodes());
+    const std::vector<sim::NodeId> faulty_ids = sim::fault_ids(faulty);
+    std::vector<sim::NodeId> correct;
+    for (std::size_t i = 0; i < n; ++i) {
+      if (!faulty[i]) correct.push_back(static_cast<sim::NodeId>(i));
+    }
+    const std::uint64_t ns = *algo->state_count();
+    util::Rng gen(0xBEEF + n * 31 + ns);
+    std::vector<util::Rng> rngs;
+    for (std::size_t l = 0; l < L; ++l) rngs.emplace_back(0x7000 + l);
+    std::vector<util::Rng> ref_rngs = rngs;
+    std::vector<std::unique_ptr<sim::Adversary>> refs;
+    for (std::size_t l = 0; l < L; ++l) refs.push_back(sim::make_adversary("lookahead"));
+    const auto lanes = sim::make_adversary("lookahead");
+    std::vector<std::uint8_t> view(n * L);
+    for (std::uint64_t round = 0; round <= 6; ++round) {
+      const std::string ctx = algo->name() + "/round=" + std::to_string(round);
+      for (auto& v : view) v = static_cast<std::uint8_t>(gen.next_below(ns));
+      const std::vector<util::Rng> before = rngs;
+      std::vector<std::uint8_t> idx(correct.size() * faulty_ids.size() * L, 0xFF);
+      sim::ForgedRound out;
+      ASSERT_TRUE(lanes->forge_lanes_idx(round, *algo, faulty_ids, correct, view, rngs, active,
+                                         idx.data(), out))
+          << ctx;
+      for (std::size_t l = 0; l < L; ++l) {
+        if (((active[l / 64] >> (l % 64)) & 1) == 0) {
+          EXPECT_TRUE(same_stream(rngs[l], before[l])) << ctx << "/inactive lane " << l;
+          continue;
+        }
+        std::vector<sim::State> states(n);
+        for (std::size_t i = 0; i < n; ++i) states[i] = algo->state_from_index(view[i * L + l]);
+        sim::ForgedRound fr;
+        refs[l]->forge_block(round, states, *algo, faulty_ids, correct, ref_rngs[l], fr);
+        ASSERT_EQ(fr.num_profiles, out.num_profiles) << ctx;
+        ASSERT_EQ(fr.profile_of, out.profile_of) << ctx;
+        for (std::size_t s = 0; s < fr.states.size(); ++s) {
+          ASSERT_EQ(idx[s * L + l], algo->state_to_index(fr.states[s]))
+              << ctx << "/lane " << l << "/slot " << s;
+        }
+        ASSERT_TRUE(same_stream(rngs[l], ref_rngs[l])) << ctx << "/lane " << l;
+      }
+    }
+  }
+}
+
 TEST(BatchRunner, StateReadingForgeLanesIdxDeclinesWithoutDrawing) {
   // Without a state view, or on an algorithm whose states have no canonical
   // index (a boosted tower), the state-reading forgers decline and every
-  // lane's rng stays bit-identical.
+  // lane's rng stays bit-identical. Lookahead also declines on a tower with
+  // a state view: its search needs a compiled table.
   constexpr std::size_t L = 512;
   const std::vector<std::uint64_t> active(L / 64, ~0ULL);
   const std::vector<counting::AlgorithmPtr> algos = {
@@ -479,7 +559,7 @@ TEST(BatchRunner, StateReadingForgeLanesIdxDeclinesWithoutDrawing) {
     const std::vector<sim::NodeId> faulty_ids = {0};
     const std::vector<sim::NodeId> correct = {1, 2, 3};
     const std::vector<std::uint8_t> view(enumerable ? 0 : 4 * L, 0);
-    for (const std::string adv : {"mirror", "targeted-vote"}) {
+    for (const std::string adv : {"mirror", "targeted-vote", "lookahead"}) {
       std::vector<util::Rng> rngs;
       for (std::size_t l = 0; l < L; ++l) rngs.emplace_back(0x6000 + l);
       const std::vector<util::Rng> before = rngs;
@@ -531,8 +611,8 @@ TEST(Engine, BatchedBackendIsBitIdenticalToScalarBackend) {
   spec.backend = sim::Backend::kScalar;
   const auto scalar = engine.run(spec);
 
-  // silent/split/random batch over both placements; lookahead stays scalar.
-  EXPECT_EQ(batched.batched_cells, 3u * 2u * 70u);
+  // Every adversary, lookahead included, batches over both placements.
+  EXPECT_EQ(batched.batched_cells, 4u * 2u * 70u);
   EXPECT_EQ(scalar.batched_cells, 0u);
 
   ASSERT_EQ(batched.cells.size(), scalar.cells.size());

@@ -148,8 +148,8 @@ TEST(ComposedCompile, RecognisesSupportedTowers) {
 }
 
 TEST(ComposedBatch, MatchesScalarAcrossPlansAdversariesAndPlacements) {
-  const std::vector<std::string> adversaries = {"silent", "echo",   "random",
-                                                "split",  "mirror", "targeted-vote"};
+  const std::vector<std::string> adversaries = {"silent", "echo",          "random",   "split",
+                                                "mirror", "targeted-vote", "lookahead"};
   const std::vector<std::uint64_t> seeds = {1, 2, 3, 0xDEAD};
   for (const int f : {1, 2, 3}) {
     const auto algo = practical(f);
@@ -179,7 +179,7 @@ TEST(ComposedBatch, BoostedOverTableBaseMatchesScalar) {
   EXPECT_EQ(cc->base.n, 2);
   RunOpts opt;
   opt.faulty = sim::faults_spread(6, 1);
-  for (const auto& adv : {"silent", "split", "targeted-vote"}) {
+  for (const auto& adv : {"silent", "split", "targeted-vote", "lookahead"}) {
     expect_differential(algo, adv, {7, 8, 9}, opt, std::string("table-base/") + adv);
   }
 }
@@ -255,10 +255,11 @@ TEST(ComposedBatch, RecordedTracesAndFixedInitialStatesMatchScalar) {
 TEST(ComposedBatch, PullingFreshSamplingMatchesScalarIncludingPullCounts) {
   // kFresh draws sampling randomness from the lane Rng inside the
   // transition, interleaved with per-receiver forging -- the strictest
-  // call-order test of the composed path.
+  // call-order test of the composed path. Lookahead's search draws from the
+  // same rng through the transitions it scores.
   for (const int M : {4, 16}) {
     const auto algo = pulling_counter(M, pulling::SamplingMode::kFresh);
-    for (const auto& adv : {"silent", "random", "split"}) {
+    for (const auto& adv : {"silent", "random", "split", "lookahead"}) {
       for (const bool with_fault : {false, true}) {
         RunOpts opt;
         if (with_fault) opt.faulty = sim::faults_prefix(4, 1);
@@ -332,8 +333,9 @@ TEST(Engine, ComposedBackendIsBitIdenticalToScalarBackend) {
   spec.backend = sim::Backend::kScalar;
   const auto scalar = engine.run(spec);
 
-  // silent/split batch over both placements; lookahead stays scalar.
-  EXPECT_EQ(batched.batched_cells, 2u * 2u * 70u);
+  // Every adversary batches over both placements; lookahead runs its
+  // search per lane through forge_block.
+  EXPECT_EQ(batched.batched_cells, 3u * 2u * 70u);
   EXPECT_EQ(scalar.batched_cells, 0u);
 
   ASSERT_EQ(batched.cells.size(), scalar.cells.size());

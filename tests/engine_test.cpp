@@ -252,8 +252,9 @@ TEST(Engine, BatchedAndScalarBackendsGiveIdenticalAggregates) {
 }
 
 TEST(Engine, ProfilesRecordBackendAndWorkPerGroup) {
-  // Groups landing on different backends in one run: silent batches on the
-  // bit-sliced table backend, lookahead is not batchable and stays scalar.
+  // Every group of a table grid, lookahead's included, lands on the
+  // bit-sliced table backend; the same spec forced onto the scalar backend
+  // tags every group scalar and records the same node-rounds per group.
   sim::ExperimentSpec spec;
   spec.algo =
       std::make_shared<counting::TableAlgorithm>(synthesis::known_table_4_1_3states());
@@ -270,12 +271,20 @@ TEST(Engine, ProfilesRecordBackendAndWorkPerGroup) {
       const auto& p = result.profiles[adv * spec.placements.size() + pl];
       EXPECT_GT(p.node_rounds(), 0u) << spec.adversaries[adv];
       EXPECT_FALSE(p.saturated());
-      EXPECT_EQ(p.backend(),
-                spec.adversaries[adv] == "silent" ? sim::GroupProfile::kBatched
-                                                  : sim::GroupProfile::kScalar)
+      EXPECT_EQ(p.backend(), sim::GroupProfile::kBatched)
           << spec.adversaries[adv] << "/" << spec.placements[pl].name;
     }
   }
+  sim::ExperimentSpec scalar_spec = spec;
+  scalar_spec.backend = sim::Backend::kScalar;
+  const auto scalar = sim::Engine(2).run(scalar_spec);
+  ASSERT_EQ(scalar.profiles.size(), result.profiles.size());
+  for (std::size_t lg = 0; lg < result.profiles.size(); ++lg) {
+    EXPECT_EQ(scalar.profiles[lg].backend(), sim::GroupProfile::kScalar) << lg;
+    EXPECT_EQ(scalar.profiles[lg].node_rounds(), result.profiles[lg].node_rounds()) << lg;
+  }
+  EXPECT_EQ(sim::aggregate_to_json(scalar.total).dump(),
+            sim::aggregate_to_json(result.total).dump());
   // Some compute time was attributed somewhere (individual groups can be too
   // fast for the clock's resolution, but not the whole grid).
   std::uint64_t nanos = 0;

@@ -1,9 +1,9 @@
 // Distributed-sweep tests: the serializable AlgorithmSpec / ExperimentSpec /
 // AggregateResult codecs round-trip exactly, and sharded execution + merge
 // is bit-identical to the single-process engine run -- across shard counts
-// 1..5, uneven group splits, and grids spanning all three execution
-// backends (bit-sliced table cells, composed boosted/pulling cells, and
-// scalar-only lookahead cells).
+// 1..5, uneven group splits, and grids on every execution backend
+// (bit-sliced table cells, composed boosted/pulling cells, and the same
+// grids forced onto the scalar runner).
 #include <gtest/gtest.h>
 
 #include <algorithm>
@@ -191,7 +191,7 @@ TEST(KnownTables, RegistryLookups) {
 sim::ExperimentSpec table_grid_spec() {
   sim::ExperimentSpec spec;
   spec.algo = std::make_shared<counting::TableAlgorithm>(synthesis::known_table_4_1_3states());
-  // lookahead is not batchable -> scalar cells; split runs bit-sliced.
+  // Every group runs bit-sliced, lookahead's search included.
   spec.adversaries = {"split", "lookahead", "silent"};
   spec.placements = {{"spread", sim::faults_spread(4, 1)}, {"none", {}}};
   spec.seeds = 17;  // odd, so uneven chunking is exercised too
@@ -206,7 +206,7 @@ sim::ExperimentSpec composed_grid_spec() {
   sim::ExperimentSpec spec;
   spec.algo = boosting::build_plan(boosting::plan_practical(2, 10));
   const int n = spec.algo->num_nodes();
-  spec.adversaries = {"split", "lookahead"};  // composed batched + scalar cells
+  spec.adversaries = {"split", "lookahead"};  // both composed
   spec.placements = {{"spread", sim::faults_spread(n, 2)},
                      {"blocks", sim::faults_block_concentrated(3, n / 3, 0, 2)}};
   spec.seeds = 5;
@@ -364,6 +364,15 @@ void expect_sharding_bit_identical(const sim::ExperimentSpec& spec, int threads)
 
   std::ostringstream reference;
   write_partial(reference, full_partial);
+
+  // The scalar oracle's groups write the same bytes under the same header.
+  sim::ExperimentSpec scalar_spec = spec;
+  scalar_spec.backend = sim::Backend::kScalar;
+  const auto scalar = engine.run(scalar_spec);
+  EXPECT_EQ(scalar.batched_cells, 0u);
+  std::ostringstream scalar_wire;
+  write_partial(scalar_wire, make_partial(spec, sim::plan_shards(spec, 1, 0), scalar));
+  EXPECT_EQ(scalar_wire.str(), reference.str());
 
   for (int K = 1; K <= 5; ++K) {
     // Run every shard, round-tripping each partial through the wire format.

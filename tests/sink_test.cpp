@@ -48,8 +48,9 @@ struct TempFile {
   std::string path;
 };
 
-// A grid whose groups span the composed batched backend (silent, split) and
-// the scalar backend (lookahead), with several groups per run.
+// A grid of composed batched groups (silent, split, and lookahead searching
+// per lane through forge_block), with several groups per run. Tests that
+// need scalar cells force the same spec onto Backend::kScalar.
 sim::ExperimentSpec mixed_backend_spec() {
   sim::ExperimentSpec spec;
   spec.algorithm = *counting::describe(boosting::build_plan(boosting::plan_practical(1, 2)));
@@ -91,11 +92,15 @@ class SequenceSink final : public sim::Sink {
 
 TEST(Sink, DeliveryOrderIsDeterministicAcrossThreadCounts) {
   const auto spec = mixed_backend_spec();
-  SequenceSink serial_seq, parallel_seq;
+  SequenceSink serial_seq, parallel_seq, scalar_seq;
   const sim::Engine serial(1);
   const sim::Engine parallel4(4);
   serial.run(spec, {&serial_seq});
   parallel4.run(spec, {&parallel_seq});
+  // Per-cell scalar tasks deliver in the same order as batched blocks.
+  sim::ExperimentSpec scalar_spec = spec;
+  scalar_spec.backend = sim::Backend::kScalar;
+  parallel4.run(scalar_spec, {&scalar_seq});
 
   // The canonical sequence: start, then per group g its cells in order
   // followed by the group event, then done.
@@ -109,6 +114,7 @@ TEST(Sink, DeliveryOrderIsDeterministicAcrossThreadCounts) {
   expected.push_back("done");
   EXPECT_EQ(serial_seq.events, expected);
   EXPECT_EQ(parallel_seq.events, expected);
+  EXPECT_EQ(scalar_seq.events, expected);
 }
 
 // Throws from on_group of one global group.
