@@ -11,8 +11,9 @@
 //                         is simply assignable again -- at worst the fleet
 //                         recomputes groups whose completes were in flight,
 //                         and the dedupe-by-(job, group) makes that benign
-//   torn writes           impossible to observe: every durable mutation is
-//                         write-to-temp + fsync + atomic rename
+//   torn writes           job specs are write-to-temp + fsync + atomic
+//                         rename; done files are fsynced appends whose
+//                         torn final line the restart drops (queue.hpp)
 //
 // handle() is the whole protocol brain and takes/returns parsed JSON, so
 // unit tests drive submit/lease/heartbeat/complete/status/results/drain

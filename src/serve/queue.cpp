@@ -195,15 +195,23 @@ void JobQueue::load_job(const std::string& spec_file) {
            spec_file + ": job name \"" + name + "\" does not match the file name");
   Job job = make_job(name, meta.at("spec"));
 
-  // Replay the durably recorded groups. The done file is AtomicAppender-
-  // committed (never a torn tail), so every line must verify -- a bad CRC
-  // here is real corruption and stops the daemon with a file:line pointer.
+  // Replay the durably recorded groups. A daemon killed mid-commit leaves at
+  // most one unterminated last line, never acknowledged: cut it off before
+  // the appender reopens the file. A terminated line that fails its CRC is
+  // real corruption and stops the daemon with a file:line pointer.
   const std::string done_file = done_path(job);
   if (fs::exists(done_file)) {
     std::ifstream done_in(done_file, std::ios::binary);
     SC_CHECK(done_in.good(), "cannot read done file: " + done_file);
     std::size_t line_no = 0;
+    std::uint64_t committed = 0;
     while (std::getline(done_in, line)) {
+      if (done_in.eof()) {  // no '\n' after it: the torn tail of a commit
+        done_in.close();
+        fs::resize_file(done_file, committed);
+        break;
+      }
+      committed += line.size() + 1;
       ++line_no;
       const std::string ctx = done_file + ":" + std::to_string(line_no);
       const Json g = Json::parse(sim::crc_unframe(line, done_file, line_no));

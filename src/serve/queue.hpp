@@ -14,9 +14,9 @@
 //                            "job":NAME,"spec":{...ExperimentSpec... |
 //                                               ...SynthJobSpec...}}
 //   job-<name>.done.jsonl   (sweep) one CRC-framed group line per durably
-//                           recorded group, in COMPLETION order
-//                           (AtomicAppender: never a torn tail) -- each line
-//                           is byte-for-byte a v3 partial-file group line
+//                           recorded group, in COMPLETION order, appended
+//                           in place (a torn last line is dropped at load)
+//                           -- each line is a v3 partial-file group line
 //   job-<name>.cubes.jsonl  (synth) one CRC-framed cube-verdict line per
 //                           durably recorded cube: {"cube":J,"verdict":
 //                           "sat|unsat|unknown","config":C,"conflicts":N,
@@ -61,10 +61,9 @@ bool valid_job_name(const std::string& name);
 
 class JobQueue {
  public:
-  // Creates `dir` if missing and loads every job found in it. Throws
-  // std::invalid_argument naming file and line on corrupt state (the
-  // crash-safe writers never produce torn state, so corruption is real
-  // damage, not an interrupted write).
+  // Creates `dir` if missing and loads every job found in it, dropping the
+  // unterminated last line an interrupted done-file commit leaves. Throws
+  // std::invalid_argument naming file and line on any other corrupt state.
   explicit JobQueue(std::string dir);
 
   struct SubmitOutcome {

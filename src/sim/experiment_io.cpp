@@ -173,13 +173,13 @@ util::Json parse_framed_line(const std::string& line, const std::string& source,
   return parse_wire_line(crc_unframe(line, source, line_no), source, line_no);
 }
 
-// fsyncs the directory holding `path` so a just-renamed file survives a
-// crash of the machine, not only of the process.
+// fsyncs the directory holding `path` so a just-created or just-renamed
+// file survives a crash of the machine, not only of the process.
 void fsync_parent_dir(const std::string& path) {
   std::string dir = std::filesystem::path(path).parent_path().string();
   if (dir.empty()) dir = ".";
   // synccount-lint: allow(raw-io) -- read-only directory fd, opened solely to
-  // fsync the rename in the atomic-commit discipline this file implements.
+  // fsync a new directory entry of the commit disciplines this file implements.
   const int fd = ::open(dir.c_str(), O_RDONLY | O_DIRECTORY | O_CLOEXEC);
   if (fd >= 0) {
     ::fsync(fd);
@@ -187,32 +187,28 @@ void fsync_parent_dir(const std::string& path) {
   }
 }
 
-// Writes `content` to `fd` honouring a torn-write fault at `site`: on a
-// torn fault only the injector-chosen prefix reaches the file before the
-// process dies -- the caller's recovery path must cope with exactly that.
-void write_all_fsync(int fd, std::string_view content, std::string_view site,
-                     const std::string& path) {
+// Writes `content` to `fd` and fsyncs it. On a torn-write fault at `site`
+// only the injector-chosen prefix reaches the file before the process dies
+// -- the caller's recovery path must cope with exactly that. Returns "" on
+// success, else the failed call and its errno text.
+std::string write_all_fsync(int fd, std::string_view content, std::string_view site) {
   const auto fault = util::FaultInjector::instance().on_write(site, content.size());
   const std::string_view payload =
       fault.torn ? content.substr(0, fault.keep_bytes) : content;
   std::size_t written = 0;
   while (written < payload.size()) {
-    // synccount-lint: allow(raw-io) -- this IS the atomic writers' fd loop:
-    // callers only ever see temp files published by fsync + rename.
+    // synccount-lint: allow(raw-io) -- the committing writers' fd loop: a temp
+    // file published by rename, or an append cut back on failure.
     const ssize_t n = ::write(fd, payload.data() + written, payload.size() - written);
     if (n < 0) {
       if (errno == EINTR) continue;
-      const std::string err = std::strerror(errno);
-      ::close(fd);
-      SC_CHECK(false, "write failed for " + path + ": " + err);
+      return std::string("write: ") + std::strerror(errno);
     }
     written += static_cast<std::size_t>(n);
   }
-  SC_CHECK(::fsync(fd) == 0, "fsync failed for " + path);
-  if (fault.torn) {
-    ::close(fd);
-    util::FaultInjector::die();
-  }
+  if (::fsync(fd) != 0) return std::string("fsync: ") + std::strerror(errno);
+  if (fault.torn) util::FaultInjector::die();
+  return "";
 }
 
 }  // namespace
@@ -252,8 +248,9 @@ void atomic_write_file(const std::string& path, std::string_view content,
   // destination is only ever touched by the rename after write + fsync.
   const int fd = ::open(tmp.c_str(), O_WRONLY | O_CREAT | O_TRUNC | O_CLOEXEC, 0644);
   SC_CHECK(fd >= 0, "cannot write " + tmp + ": " + std::strerror(errno));
-  write_all_fsync(fd, content, fault_site, tmp);
+  const std::string error = write_all_fsync(fd, content, fault_site);
   ::close(fd);
+  SC_CHECK(error.empty(), "cannot write " + tmp + ": " + error);
   SC_CHECK(std::rename(tmp.c_str(), path.c_str()) == 0,
            "cannot rename " + tmp + " -> " + path + ": " + std::strerror(errno));
   fsync_parent_dir(path);
@@ -263,33 +260,35 @@ void atomic_write_file(const std::string& path, std::string_view content,
 AtomicAppender::AtomicAppender(std::string path, bool resume, std::string fault_site)
     : path_(std::move(path)), fault_site_(std::move(fault_site)) {
   SC_CHECK(!path_.empty(), "atomic appender needs a path");
-  have_base_ = resume && std::filesystem::exists(path_);
+  std::error_code ec;
+  const std::uintmax_t size = std::filesystem::file_size(path_, ec);
+  fresh_ = !resume || ec;
+  if (!fresh_) committed_ = size;
 }
 
 void AtomicAppender::commit() {
-  // The first commit publishes even an empty buffer (it IS the truncate of
-  // the fresh-open path); later empty commits are no-ops.
-  if (have_base_ && buffer_.empty()) return;
-  const std::string tmp = path_ + ".tmp";
-  std::error_code ec;
-  if (have_base_) {
-    // Committed base + buffer, without buffering the base in memory: copy
-    // the published file, append, fsync, rename back over it.
-    std::filesystem::copy_file(path_, tmp,
-                               std::filesystem::copy_options::overwrite_existing, ec);
-    SC_CHECK(!ec, "cannot stage " + tmp + ": " + ec.message());
+  SC_CHECK(!broken_, path_ + ": an earlier failed commit could not be rolled back");
+  // The first commit creates the file even for an empty buffer; later empty
+  // commits are no-ops.
+  if (!fresh_ && buffer_.empty()) return;
+  const int flags = O_WRONLY | O_APPEND | O_CLOEXEC | (fresh_ ? O_CREAT | O_TRUNC : 0);
+  // synccount-lint: allow(raw-io) -- AtomicAppender's own file: commits only
+  // ever append past the committed length, and a failed one is cut back.
+  const int fd = ::open(path_.c_str(), flags, 0644);
+  SC_CHECK(fd >= 0, "cannot append to " + path_ + ": " + std::strerror(errno));
+  const std::string error = write_all_fsync(fd, buffer_, fault_site_);
+  if (!error.empty()) {
+    // Cut the partial append off now: a caller that survives the throw (the
+    // serve daemon keeps serving) must not commit past a torn line.
+    buffer_.clear();
+    broken_ = ::ftruncate(fd, static_cast<off_t>(committed_)) != 0;
+    ::close(fd);
+    SC_CHECK(false, "cannot append to " + path_ + ": " + error);
   }
-  const int flags = O_WRONLY | O_CLOEXEC | (have_base_ ? O_APPEND : O_CREAT | O_TRUNC);
-  // synccount-lint: allow(raw-io) -- AtomicAppender's own staging file; the
-  // published path only ever changes via the rename after write + fsync.
-  const int fd = ::open(tmp.c_str(), flags, 0644);
-  SC_CHECK(fd >= 0, "cannot write " + tmp + ": " + std::strerror(errno));
-  write_all_fsync(fd, buffer_, fault_site_, tmp);
   ::close(fd);
-  SC_CHECK(std::rename(tmp.c_str(), path_.c_str()) == 0,
-           "cannot rename " + tmp + " -> " + path_ + ": " + std::strerror(errno));
-  fsync_parent_dir(path_);
-  have_base_ = true;
+  if (fresh_) fsync_parent_dir(path_);
+  fresh_ = false;
+  committed_ += buffer_.size();
   buffer_.clear();
   util::FaultInjector::instance().probe(fault_site_);
 }

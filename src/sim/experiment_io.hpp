@@ -19,7 +19,8 @@
 // the JSON payload (v3). Readers verify it before parsing, so a bit flip, a
 // torn write, or trailing garbage fails with a file:line diagnostic instead
 // of being folded best-effort into an aggregate; the tolerant checkpoint
-// scan treats a bad-CRC tail as the crash point and resumes before it.
+// scan treats a torn or bad-CRC tail as the crash point and resumes before
+// it (checkpoints are appended in place, see AtomicAppender).
 //
 // Aggregates serialise their StreamingStats as retained samples in add()
 // order, so deserialise-and-merge replays the exact fp-op sequence of a
@@ -82,31 +83,34 @@ std::string crc_unframe(const std::string& line, const std::string& source,
 void atomic_write_file(const std::string& path, std::string_view content,
                        std::string_view fault_site = "io.atomic_write");
 
-// Crash-consistent append: buffered bytes become visible only at commit(),
-// which publishes (previous committed contents + buffer) via the same
-// temp-file + fsync + atomic-rename discipline. The published file never
-// has a torn tail; a kill between commits costs exactly the uncommitted
-// buffer. `resume` adopts an existing file as the committed base instead
-// of starting empty.
+// Crash-consistent append: buffered bytes reach the file only at commit(),
+// an in-place O_APPEND write + fsync. A kill mid-commit leaves at most a
+// torn tail past the committed length, which every reader of an appended
+// file drops on recovery (read_checkpoint, truncate_to_lines / _blocks, the
+// serve queue's replay). `resume` adopts an existing file as the committed
+// base instead of starting empty.
 class AtomicAppender {
  public:
   explicit AtomicAppender(std::string path, bool resume = false,
                           std::string fault_site = "io.append");
 
   void append(std::string_view bytes) { buffer_.append(bytes); }
-  bool dirty() const noexcept { return !buffer_.empty(); }
-  const std::string& path() const noexcept { return path_; }
+  std::uint64_t committed() const noexcept { return committed_; }
 
-  // Publishes the committed base + buffer atomically; no-op when nothing
-  // was appended since the last commit (except the very first commit of a
-  // fresh file, which publishes the -- possibly empty -- base).
+  // Appends the buffer and fsyncs it; no-op when nothing was appended since
+  // the last commit, except the first commit of a fresh file, which creates
+  // (or truncates) it. A failed commit drops the buffer, cuts the file back
+  // to the committed length and throws; if that cut fails, so does every
+  // later commit.
   void commit();
 
  private:
   std::string path_;
   std::string fault_site_;
   std::string buffer_;
-  bool have_base_ = false;  // `path_` holds committed content
+  std::uint64_t committed_ = 0;  // bytes of `path_` that commits made durable
+  bool fresh_ = true;            // the next commit creates or truncates `path_`
+  bool broken_ = false;          // a failed commit's tail could not be cut
 };
 
 // --- Type codecs -------------------------------------------------------------

@@ -1,9 +1,7 @@
 #include "sim/sink.hpp"
 
-#include <filesystem>
 #include <iostream>
 #include <sstream>
-#include <system_error>
 
 #include "sim/experiment_io.hpp"
 #include "util/check.hpp"
@@ -51,12 +49,9 @@ void TraceSink::on_start(const ExperimentSpec& spec, const ShardPlan& plan) {
   (void)plan;
   grid_names(spec, adversaries_, placements_);
   out_ = std::make_unique<AtomicAppender>(path_, resume_, "sink.trace");
-  // The binary format's header block is written on a fresh or still-empty
-  // file only; a resumed non-empty file already starts with it.
-  std::error_code ec;
-  const std::uintmax_t existing = resume_ ? std::filesystem::file_size(path_, ec) : 0;
-  const bool fresh = !resume_ || ec || existing == 0;
-  if (format_ == Format::kBin && fresh) {
+  // The binary format's header block is written on an empty file only; a
+  // resumed non-empty file already starts with it.
+  if (format_ == Format::kBin && out_->committed() == 0) {
     out_->append(encode_trace_header({adversaries_, placements_}));
   }
   // Commit now: trace sinks start before checkpoint sinks (make_sinks order),
@@ -125,13 +120,7 @@ void TraceSink::on_group(std::size_t group, const AggregateResult& aggregate) {
     pending_.clear();
   }
   // Group-boundary commit: once a checkpoint sink (delivered after this one,
-  // see make_sinks) records the group, its trace rows are durably on disk --
-  // and the published trace never ends in a torn row (or block).
-  out_->commit();
-}
-
-void TraceSink::on_done(const ExperimentResult& result) {
-  (void)result;
+  // see make_sinks) records the group, its trace rows are durably on disk.
   out_->commit();
 }
 
@@ -180,9 +169,9 @@ void CheckpointSink::on_start(const ExperimentSpec& spec, const ShardPlan& plan)
 }
 
 void CheckpointSink::on_group(std::size_t group, const AggregateResult& aggregate) {
-  // One atomically committed line per finished group: the durable unit of
-  // progress a preempted worker resumes from. A kill mid-commit leaves the
-  // previous whole-line prefix published, never a torn tail.
+  // One committed line per finished group: the durable unit of progress a
+  // preempted worker resumes from. A kill mid-commit leaves a torn last
+  // line, which resume cuts off (read_checkpoint's valid_bytes).
   std::ostringstream line;
   write_partial_group(line, group, adversaries_, placements_, aggregate);
   out_->append(line.str());

@@ -128,13 +128,12 @@ std::string trace_format_error(const std::string& format, bool outputs);
 // CRC-framed block per group, ~10x smaller than JSONL at scale). File
 // contents are bit-identical across thread counts and execution backends
 // in every format. Rows are committed at group boundaries via
-// AtomicAppender (temp-file + fsync + atomic rename, before any checkpoint
-// sink records the group -- make_sinks orders checkpoints last), so the
-// published file never holds a torn or partial-group tail: a kill costs
-// exactly the uncommitted group. `resume` adopts the existing
-// file after the caller truncated it to the checkpointed prefix
-// (truncate_to_lines / truncate_to_blocks -- only pre-v3 legacy files can
-// still need the torn-tail surgery).
+// AtomicAppender (an in-place append + fsync, before any checkpoint sink
+// records the group -- make_sinks orders checkpoints last), so every
+// checkpointed group's rows are durable. A kill can leave rows of later
+// groups, or a torn tail, past them; `resume` adopts the existing file
+// after the caller cut it back to the checkpointed groups
+// (truncate_to_lines / truncate_to_blocks).
 class TraceSink final : public Sink {
  public:
   // Throws std::invalid_argument naming `path` when trace_format_error
@@ -148,7 +147,6 @@ class TraceSink final : public Sink {
   void on_start(const ExperimentSpec& spec, const ShardPlan& plan) override;
   void on_cell(const CellOutcome& cell) override;
   void on_group(std::size_t group, const AggregateResult& aggregate) override;
-  void on_done(const ExperimentResult& result) override;
 
  private:
   enum class Format { kJsonl, kBin };
@@ -183,9 +181,9 @@ class ProgressSink final : public Sink {
 };
 
 // Streams the experiment_io shard-partial wire format: header at on_start
-// (fresh mode), one atomically committed group line per finished group
-// (AtomicAppender: the published checkpoint is always a whole number of
-// lines, whenever the worker dies). Because groups are delivered in order,
+// (fresh mode), one committed group line per finished group (AtomicAppender:
+// a worker killed mid-commit leaves at most one unterminated line, which
+// read_checkpoint stops before). Because groups are delivered in order,
 // the file is always a valid partial prefix; resume mode appends to an
 // existing prefix instead of rewriting the header, and the completed file
 // is byte-identical to an uninterrupted worker's emit. Requires a

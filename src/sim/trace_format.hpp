@@ -1,4 +1,4 @@
-// Columnar binary trace format ("bin"), the third TraceSink format.
+// Columnar binary trace format ("bin"), the second TraceSink format.
 //
 // JSONL traces spend most of their bytes re-printing field names and decimal
 // digits; at million-cell scale the trace file dwarfs the results it
@@ -21,11 +21,11 @@
 // fails loudly at read time and resume can trim to whole blocks
 // (truncate_to_blocks -- the binary analogue of truncate_to_lines, with
 // blocks aligned to group boundaries exactly like the group-boundary commits
-// of the other formats).
+// of the JSONL format).
 //
 // The encoding is a pure function of the rows: no timestamps, no map
-// iteration, no float re-formatting -- so like the JSONL/CSV formats the
-// bytes are identical across thread counts and execution backends.
+// iteration, no float re-formatting -- so like the JSONL format the bytes
+// are identical across thread counts and execution backends.
 #pragma once
 
 #include <cstdint>

@@ -44,11 +44,13 @@ const char* cli_binary() { return std::getenv("SYNCCOUNT_CLI"); }
     }                                                                       \
   } while (false)
 
-// Runs `<cli> args...` with stdout silenced and stderr sent to `err_path`;
-// returns the exit status (or -1 when the process did not exit normally).
-int run_cli(const std::string& args, const std::string& err_path = "/dev/null") {
-  const std::string cmd =
-      std::string(cli_binary()) + " " + args + " >/dev/null 2>" + err_path;
+// Runs `<cli> args...` with stdout silenced and stderr sent to `err_path`,
+// after `env` (shell assignments, e.g. SYNCCOUNT_FAULTS=...); returns the
+// exit status (or -1 when the process did not exit normally).
+int run_cli(const std::string& args, const std::string& err_path = "/dev/null",
+            const std::string& env = "") {
+  const std::string cmd = env + (env.empty() ? "" : " ") + std::string(cli_binary()) + " " +
+                          args + " >/dev/null 2>" + err_path;
   const int rc = std::system(cmd.c_str());
   if (rc == -1 || !WIFEXITED(rc)) return -1;
   return WEXITSTATUS(rc);
@@ -317,6 +319,52 @@ TEST(Cli, ResumeWorksFromAHeaderOnlyCheckpointWithBinTrace) {
   ASSERT_EQ(run_cli("sweep --spec=" + spec_path + " --resume --threads=2"), 0);
   EXPECT_EQ(slurp(ck), ck_reference);
   EXPECT_EQ(slurp(tr), tr_reference);
+}
+
+// Every crash window of an in-place commit: a worker killed right after,
+// or torn in the middle of, the k-th commit of a trace (jsonl or bin) or of
+// the checkpoint. Commit 1 is each file's start (header or creation), commit
+// k > 1 holds group k-2. Resuming must converge to the uninterrupted bytes
+// of the checkpoint, the trace and --emit.
+TEST(Cli, ResumeAfterATornOrKilledCommitIsByteIdentical) {
+  REQUIRE_CLI();
+  TempDir dir;
+  const std::string ck = dir.file("ck.jsonl");
+  for (const std::string format : {"jsonl", "bin"}) {
+    const std::string tr = dir.file("tr." + format);
+    const std::string spec_path = dir.file("spec-" + format + ".json");
+    {
+      auto spec = reference_spec(ck);
+      spec.sinks.push_back({sim::SinkConfig::Kind::kTrace, tr, format, false});
+      std::ofstream out(spec_path);
+      write_spec_file(out, spec);
+    }
+    const std::string sweep = "sweep --spec=" + spec_path + " --threads=2";
+    ASSERT_EQ(run_cli(sweep + " --emit=" + dir.file("full.jsonl")), 0);
+    const std::string ck_reference = slurp(ck);
+    const std::string tr_reference = slurp(tr);
+    const std::string emit_reference = slurp(dir.file("full.jsonl"));
+
+    for (const std::string site : {"sink.trace", "sink.checkpoint"}) {
+      for (const std::string op : {"torn", "kill"}) {
+        for (const int k : {1, 2, 4, 7}) {
+          const std::string fault = site + "=" + op + "@" + std::to_string(k);
+          SCOPED_TRACE(format + " trace, " + fault);
+          std::filesystem::remove(ck);
+          std::filesystem::remove(tr);
+          ASSERT_EQ(run_cli(sweep, "/dev/null", "SYNCCOUNT_FAULTS=" + fault), 137);
+          const std::string& torn_file = site == "sink.checkpoint" ? ck : tr;
+          if (op == "torn" && k > 1 && torn_file.ends_with(".jsonl")) {
+            EXPECT_NE(slurp(torn_file).back(), '\n') << "no torn line landed";
+          }
+          ASSERT_EQ(run_cli(sweep + " --resume --emit=" + dir.file("resumed.jsonl")), 0);
+          EXPECT_EQ(slurp(ck), ck_reference);
+          EXPECT_EQ(slurp(tr), tr_reference);
+          EXPECT_EQ(slurp(dir.file("resumed.jsonl")), emit_reference);
+        }
+      }
+    }
+  }
 }
 
 TEST(Cli, ShardedSpecWorkersMergeBitIdentically) {

@@ -1,7 +1,7 @@
 // synccount-lint: path(src/sim/sink_fixture.cpp)
 // Fixture: rule D3 (raw-io) must fire -- the path() directive above scopes
-// this file into the durable-IO paths, where raw writes can publish torn
-// files and must route through atomic_write_file / AtomicAppender.
+// this file into the durable-IO paths, where raw writes skip the commit
+// discipline and must route through atomic_write_file / AtomicAppender.
 // Not compiled -- analyzed by tests/lint_test.py via synccount_lint.py.
 #include <fcntl.h>
 #include <unistd.h>

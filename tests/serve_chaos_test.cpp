@@ -252,4 +252,48 @@ TEST(ServeChaos, DaemonRestartResumesWithNoLostWorkAndIdempotentSubmit) {
   EXPECT_EQ(slurp(dir.file("out.jsonl")), reference.str());
 }
 
+TEST(ServeChaos, TornDoneCommitIsDroppedWhenTheDaemonRestarts) {
+  REQUIRE_SERVE();
+  TempDir dir;
+  const std::string sock = dir.file("sock");
+  const std::string state = dir.file("state");
+  const sim::ExperimentSpec spec = chaos_spec();
+  {
+    std::ofstream out(dir.file("spec.json"), std::ios::binary);
+    write_spec_file(out, spec);
+  }
+  const std::vector<std::string> daemon_args = {
+      "serve", "--socket=" + sock, "--state-dir=" + state, "--lease-ms=1500"};
+
+  // Done-file commit 1 creates the file at submit; commit 2 -- the first
+  // complete -- tears mid-line and the daemon dies on the spot.
+  pid_t daemon = spawn_serve(daemon_args, "serve.job.done=torn@2");
+  await_socket(sock);
+  ASSERT_EQ(run_serve({"submit", "--socket=" + sock, "--job=chaos",
+                       "--spec=" + dir.file("spec.json")}),
+            0);
+  const pid_t w1 = spawn_serve({"worker", "--socket=" + sock, "--id=w1"});
+  EXPECT_EQ(wait_exit(daemon), 137);
+  const std::string torn = slurp(state + "/job-chaos.done.jsonl");
+  ASSERT_FALSE(torn.empty());
+  EXPECT_NE(torn.back(), '\n');
+
+  // The restart cuts the unacknowledged line off and serves on. w1 either
+  // reconnects within its backoff or gives up; w2 finishes whatever is left.
+  daemon = spawn_serve(daemon_args);
+  await_socket(sock);
+  (void)wait_exit(w1);
+  ASSERT_EQ(run_serve({"worker", "--socket=" + sock, "--id=w2"}), 0);
+  ASSERT_EQ(run_serve({"results", "--socket=" + sock, "--job=chaos",
+                       "--emit=" + dir.file("out.jsonl")}),
+            0);
+  ASSERT_EQ(run_serve({"shutdown", "--socket=" + sock}), 0);
+  EXPECT_EQ(wait_exit(daemon), 0);
+
+  const auto plan = sim::plan_shards(spec, 1, 0);
+  std::ostringstream reference;
+  write_partial(reference, make_partial(spec, plan, sim::Engine(1).run(spec, plan)));
+  EXPECT_EQ(slurp(dir.file("out.jsonl")), reference.str());
+}
+
 }  // namespace

@@ -1,15 +1,19 @@
 // Unit tests of the sweep-service building blocks, transport-free where
 // possible: CRC framing, backoff schedules, the fault injector, the atomic
-// file helpers (including torn-write recovery via death tests), the lease
-// table (deterministic clocks, no sleeping), the durable job queue
-// (persistence across reload), the protocol codecs, and the daemon's
+// file helpers (torn-write recovery and commit rollback via death tests),
+// the lease table (deterministic clocks, no sleeping), the durable job
+// queue (persistence across reload), the protocol codecs, and the daemon's
 // request brain via Daemon::handle. The process-level chaos differential
 // test lives in serve_chaos_test.cpp.
 #include <gtest/gtest.h>
 
+#include <sys/resource.h>
 #include <unistd.h>
 
+#include <algorithm>
 #include <chrono>
+#include <csignal>
+#include <cstdlib>
 #include <filesystem>
 #include <fstream>
 #include <sstream>
@@ -23,6 +27,7 @@
 #include "sim/engine.hpp"
 #include "sim/experiment_io.hpp"
 #include "sim/faults.hpp"
+#include "sim/sink.hpp"
 #include "util/backoff.hpp"
 #include "util/crc32.hpp"
 #include "util/fault_injector.hpp"
@@ -187,14 +192,18 @@ TEST(AtomicWrite, PublishesWholeFilesOnly) {
   EXPECT_FALSE(std::filesystem::exists(path + ".tmp"));  // staging cleaned up
 }
 
-TEST(AtomicAppender, CommitsAtomicallyAndResumes) {
+TEST(AtomicAppender, CommitsInPlaceAndResumes) {
   TempDir dir;
   const std::string path = dir.file("log.jsonl");
+  const std::string link = dir.file("link.jsonl");
   {
     sim::AtomicAppender app(path);
     EXPECT_FALSE(std::filesystem::exists(path));  // nothing until commit
-    app.commit();                                 // first commit publishes empty
+    app.commit();                                 // first commit creates it empty
     EXPECT_EQ(slurp(path), "");
+    // A hard link shares the inode: it sees later appends, and would keep
+    // the old bytes if a commit ever republished the file by rename.
+    std::filesystem::create_hard_link(path, link);
     app.append("one\n");
     EXPECT_EQ(slurp(path), "");  // buffered, not visible
     app.commit();
@@ -208,30 +217,11 @@ TEST(AtomicAppender, CommitsAtomicallyAndResumes) {
     app.commit();
   }
   EXPECT_EQ(slurp(path), "one\ntwo\n");
+  EXPECT_EQ(slurp(link), "one\ntwo\n");
+  EXPECT_FALSE(std::filesystem::exists(path + ".tmp"));
 }
 
 using AtomicDeathTest = ::testing::Test;
-
-TEST(AtomicDeathTest, TornWriteDiesWithoutDamagingThePublishedFile) {
-  TempDir dir;
-  const std::string path = dir.file("log.jsonl");
-  {
-    sim::AtomicAppender app(path);
-    app.append("committed\n");
-    app.commit();
-  }
-  // The torn write hits the STAGING file and the process dies before the
-  // rename: the published file must be untouched.
-  EXPECT_EXIT(
-      {
-        util::FaultInjector::instance().configure("io.append=torn@1");
-        sim::AtomicAppender app(path, /*resume=*/true);
-        app.append("never lands in full\n");
-        app.commit();
-      },
-      ::testing::ExitedWithCode(137), "");
-  EXPECT_EQ(slurp(path), "committed\n");
-}
 
 TEST(AtomicDeathTest, KillAfterCommitLeavesTheNewContent) {
   TempDir dir;
@@ -493,6 +483,143 @@ TEST(JobQueue, RecordDoneRejectsGridDisagreements) {
                std::invalid_argument);  // outside the grid
   EXPECT_THROW(queue.record_done("job", 0, "silent", "spread", agg),
                std::invalid_argument);  // wrong adversary for group 0
+}
+
+TEST(JobQueue, DoneFileGrowsInPlaceWithoutStagingFiles) {
+  TempDir dir;
+  const sim::ExperimentSpec spec = small_spec();
+  serve::JobQueue queue(dir.file("state"));
+  queue.submit("job", sim::experiment_spec_to_json(spec));
+  const std::string done = dir.file("state/job-job.done.jsonl");
+  const std::string link = dir.file("done.link");
+  std::filesystem::create_hard_link(done, link);
+  for (const std::uint64_t g : {2u, 0u, 5u}) {
+    complete_group(queue, spec, g);
+    for (const auto& entry : std::filesystem::directory_iterator(dir.file("state"))) {
+      EXPECT_NE(entry.path().extension(), ".tmp") << entry.path();
+    }
+  }
+  // The link shares the done file's inode, so it holds every committed line
+  // only if no commit republished the file.
+  const std::string bytes = slurp(done);
+  EXPECT_EQ(std::count(bytes.begin(), bytes.end(), '\n'), 3);
+  EXPECT_EQ(slurp(link), bytes);
+}
+
+TEST(JobQueue, TerminatedCorruptDoneLineStillThrows) {
+  TempDir dir;
+  const sim::ExperimentSpec spec = small_spec();
+  {
+    serve::JobQueue queue(dir.file("state"));
+    queue.submit("job", sim::experiment_spec_to_json(spec));
+    complete_group(queue, spec, 0);
+  }
+  // A whole line that fails its CRC is damage, not an interrupted commit:
+  // the replay must refuse it, naming file and line.
+  {
+    std::ofstream out(dir.file("state/job-job.done.jsonl"), std::ios::binary | std::ios::app);
+    out << "{\"group\":1}#00000000\n";
+  }
+  try {
+    serve::JobQueue queue(dir.file("state"));
+    FAIL() << "a corrupt terminated done line was replayed";
+  } catch (const std::invalid_argument& e) {
+    EXPECT_NE(std::string(e.what()).find("job-job.done.jsonl:2"), std::string::npos)
+        << e.what();
+  }
+}
+
+// --- Crash windows of appended files --------------------------------------------------
+
+// A commit killed mid-write leaves its torn bytes in the file itself, past
+// the committed length. The committed prefix must stay intact, and both
+// recovering readers drop the tail: the queue's done-file replay and the
+// checkpoint scan.
+TEST(AtomicDeathTest, TornCommitKeepsTheCommittedPrefixAndReadersDropTheTail) {
+  TempDir dir;
+  const sim::ExperimentSpec spec = small_spec();
+  const std::string done = dir.file("state/job-job.done.jsonl");
+  {
+    serve::JobQueue queue(dir.file("state"));
+    queue.submit("job", sim::experiment_spec_to_json(spec));
+    complete_group(queue, spec, 0);
+  }
+  const std::string committed = slurp(done);
+  EXPECT_EXIT(
+      {
+        util::FaultInjector::instance().configure("serve.job.done=torn@1");
+        serve::JobQueue queue(dir.file("state"));
+        complete_group(queue, spec, 1);
+      },
+      ::testing::ExitedWithCode(137), "");
+  const std::string torn = slurp(done);
+  ASSERT_GT(torn.size(), committed.size());  // the torn bytes did land
+  EXPECT_EQ(torn.substr(0, committed.size()), committed);
+  EXPECT_NE(torn.back(), '\n');
+  {
+    serve::JobQueue queue(dir.file("state"));
+    EXPECT_EQ(slurp(done), committed);  // the replay cut the tail off
+    EXPECT_EQ(queue.status()[0].done, 1u);
+    complete_group(queue, spec, 1);
+  }
+  EXPECT_EQ(serve::JobQueue(dir.file("state")).status()[0].done, 2u);
+
+  // Checkpoint commits 1 and 2 made the header and group 0 durable; the
+  // third tears group 1's line.
+  const auto plan = sim::plan_shards(spec, 1, 0);
+  const std::string ck = dir.file("ck.jsonl");
+  EXPECT_EXIT(
+      {
+        util::FaultInjector::instance().configure("sink.checkpoint=torn@3");
+        sim::CheckpointSink sink(ck);
+        sim::Engine(1).run(spec, plan, {&sink});
+      },
+      ::testing::ExitedWithCode(137), "");
+  const std::string bytes = slurp(ck);
+  const auto state = sim::read_checkpoint(ck, spec, plan);
+  EXPECT_TRUE(state.header_present);
+  EXPECT_EQ(state.next_group, 1u);
+  ASSERT_GT(bytes.size(), state.valid_bytes);
+  const std::string valid = bytes.substr(0, state.valid_bytes);
+  EXPECT_EQ(std::count(valid.begin(), valid.end(), '\n'), 2);
+  EXPECT_NE(bytes.back(), '\n');
+}
+
+// A commit whose write fails part-way (a real short write past
+// RLIMIT_FSIZE, with SIGXFSZ ignored) is cut back to the committed length
+// before it throws, so a caller that survives the error -- the daemon keeps
+// serving -- never commits after a torn line.
+TEST(AtomicDeathTest, FailedCommitRollsBackToTheCommittedLength) {
+  TempDir dir;
+  const std::string path = dir.file("log.jsonl");
+  {
+    sim::AtomicAppender app(path);
+    app.append("committed\n");
+    app.commit();
+  }
+  EXPECT_EXIT(
+      {
+        std::signal(SIGXFSZ, SIG_IGN);
+        rlimit limit{};
+        ::getrlimit(RLIMIT_FSIZE, &limit);
+        const rlimit original = limit;
+        limit.rlim_cur = 14;  // room for 4 bytes of the next commit
+        ::setrlimit(RLIMIT_FSIZE, &limit);
+        sim::AtomicAppender app(path, /*resume=*/true);
+        app.append("does not fit\n");
+        bool threw = false;
+        try {
+          app.commit();
+        } catch (const std::invalid_argument&) {
+          threw = true;
+        }
+        ::setrlimit(RLIMIT_FSIZE, &original);
+        app.append("fits\n");
+        app.commit();
+        std::_Exit(threw ? 0 : 1);
+      },
+      ::testing::ExitedWithCode(0), "");
+  EXPECT_EQ(slurp(path), "committed\nfits\n");
 }
 
 // --- Daemon (transport-free, via handle()) -------------------------------------------

@@ -12,6 +12,8 @@
 #include <fstream>
 #include <sstream>
 #include <stdexcept>
+#include <string>
+#include <vector>
 
 #include "boosting/planner.hpp"
 #include "counting/table_algorithm.hpp"
@@ -498,6 +500,59 @@ TEST(MakeSinks, InstantiatesConfigsWithCheckpointLast) {
   std::ostringstream emitted;
   write_partial(emitted, make_partial(spec, plan, result));
   EXPECT_EQ(slurp(ck.path), emitted.str());
+}
+
+// Watches the file sinks from in front of them in delivery order: at each
+// group boundary they have committed every earlier group. Hard links taken
+// at the first boundary share the files' inodes, so they keep up only while
+// no commit republishes a file by rename.
+class FileWatchSink final : public sim::Sink {
+ public:
+  FileWatchSink(std::filesystem::path dir, std::vector<std::string> files)
+      : dir_(std::move(dir)), files_(std::move(files)) {}
+
+  void on_group(std::size_t, const sim::AggregateResult&) override {
+    if (links.empty()) {
+      for (const std::string& f : files_) {
+        links.push_back(f + ".link");
+        std::filesystem::create_hard_link(f, links.back());
+      }
+    }
+    for (const auto& entry : std::filesystem::directory_iterator(dir_)) {
+      if (entry.path().extension() == ".tmp") ++staging_files;
+    }
+  }
+
+  std::vector<std::string> links;
+  int staging_files = 0;
+
+ private:
+  std::filesystem::path dir_;
+  std::vector<std::string> files_;
+};
+
+TEST(MakeSinks, FileSinksAppendInPlaceWithoutStagingFiles) {
+  const std::filesystem::path dir = temp_path("in-place");
+  std::filesystem::create_directories(dir);
+  const std::vector<std::string> files = {(dir / "tr.jsonl").string(),
+                                          (dir / "tr.bin").string(),
+                                          (dir / "ck.jsonl").string()};
+  sim::ExperimentSpec spec = mixed_backend_spec();
+  spec.sinks.push_back({sim::SinkConfig::Kind::kTrace, files[0], "jsonl", false});
+  spec.sinks.push_back({sim::SinkConfig::Kind::kTrace, files[1], "bin", false});
+  spec.sinks.push_back({sim::SinkConfig::Kind::kCheckpoint, files[2], "jsonl", false});
+  const auto plan = sim::plan_shards(spec, 1, 0);
+  const auto sinks = sim::make_sinks(spec, plan);
+  FileWatchSink watch(dir, files);
+  sim::Engine(2).run(spec, plan, sim::sink_list(sinks, {&watch}));
+
+  EXPECT_EQ(watch.staging_files, 0);
+  ASSERT_EQ(watch.links.size(), files.size());
+  for (std::size_t i = 0; i < files.size(); ++i) {
+    EXPECT_FALSE(slurp(files[i]).empty()) << files[i];
+    EXPECT_EQ(slurp(watch.links[i]), slurp(files[i])) << files[i] << " was republished";
+  }
+  std::filesystem::remove_all(dir);
 }
 
 TEST(MakeSinks, ShardedPathsGetAShardSuffix) {

@@ -323,15 +323,15 @@ RULES: list[Rule] = [
          "std::set or an explicit ordering"),
     # D3 -- raw writes in crash-safety-critical paths.
     Rule("raw-io", re.compile(r"\bstd::ofstream\b"), in_wire_paths,
-         "raw std::ofstream in a durable-IO path can publish torn files; "
+         "raw std::ofstream in a durable-IO path skips fsync and rollback; "
          "route through atomic_write_file / AtomicAppender"),
     Rule("raw-io", re.compile(r"(?:std::|(?<![\w.:>]))f(?:open|write)\s*\("),
          in_wire_paths,
          "raw C stdio write in a durable-IO path; route through "
          "atomic_write_file / AtomicAppender"),
     Rule("raw-io", re.compile(r"::\s*(?:open|creat|write)\s*\("), in_wire_paths,
-         "bare POSIX file IO in a durable-IO path; only the atomic_write_file "
-         "/ AtomicAppender implementations may touch fds directly"),
+         "bare POSIX file IO in a durable-IO path; only the committing "
+         "writers (atomic_write_file / AtomicAppender) may touch fds directly"),
     # D5 -- reinterpret_cast anywhere.
     Rule("cast", re.compile(r"\breinterpret_cast\b"), lambda p: True,
          "reinterpret_cast is allowed only at justified sites (POSIX sockaddr "
